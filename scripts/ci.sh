@@ -1,13 +1,16 @@
 #!/bin/sh
-# The tier-1 gate, run twice:
+# The tier-1 gate, run three times:
 #
 #   1. an ASan+UBSan build (catches the memory and UB bugs a fleet of
-#      forking workers is good at hiding), and
+#      forking workers is good at hiding),
 #   2. the regular build with REPRO_SIMD=portable, proving the scalar
 #      kernels produce the same bit-identical results the SIMD paths
-#      are tested against.
+#      are tested against, and
+#   3. a ThreadSanitizer build over the concurrency-heavy labels
+#      (parallel campaigns, batched DTA at 2 threads, fleet, daemon,
+#      multi-core), proving them free of data races.
 #
-# Both passes run the full suite; either failing fails CI.
+# Passes 1 and 2 run the full suite; any pass failing fails CI.
 #
 # Usage: scripts/ci.sh [jobs]
 set -u
@@ -16,30 +19,46 @@ root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=${1:-$(nproc 2>/dev/null || echo 4)}
 fail=0
 
+# run_pass <name> <build-dir> [ctest-label-regex] [cmake args...]
 run_pass() {
     name=$1
     build=$2
-    shift 2
+    labels=$3
+    shift 3
     echo "=== ci: configure $name ($build) ==="
     cmake -B "$build" -S "$root" "$@" || return 1
     echo "=== ci: build $name ==="
     cmake --build "$build" -j "$jobs" || return 1
     echo "=== ci: test $name ==="
-    (cd "$build" && ctest --output-on-failure -j "$jobs") || return 1
+    if [ -n "$labels" ]; then
+        (cd "$build" && ctest -L "$labels" --output-on-failure -j "$jobs") \
+            || return 1
+    else
+        (cd "$build" && ctest --output-on-failure -j "$jobs") || return 1
+    fi
 }
 
 # Pass 1: sanitizers. ASan needs the leak checker off for the chaos
 # tests (SIGKILLed workers exit without unwinding, by design).
 if ! ASAN_OPTIONS="detect_leaks=0" run_pass "asan+ubsan" \
-        "$root/build-san" -DTEA_SANITIZE="address,undefined"; then
+        "$root/build-san" "" -DTEA_SANITIZE="address,undefined"; then
     echo "ci: sanitizer pass FAILED"
     fail=1
 fi
 
 # Pass 2: portable SIMD on the regular build — results must not
 # depend on the ISA level the kernels were dispatched to.
-if ! REPRO_SIMD=portable run_pass "portable-simd" "$root/build"; then
+if ! REPRO_SIMD=portable run_pass "portable-simd" "$root/build" ""; then
     echo "ci: portable-SIMD pass FAILED"
+    fail=1
+fi
+
+# Pass 3: ThreadSanitizer over the labels that exercise shared state
+# across threads. halt_on_error turns the first report into a failure.
+if ! TSAN_OPTIONS="halt_on_error=1" run_pass "tsan" "$root/build-tsan" \
+        'tier1par|tier1dta|tier1fleet|tier1service|tier1mc' \
+        -DTEA_SANITIZE=thread; then
+    echo "ci: ThreadSanitizer pass FAILED"
     fail=1
 fi
 
@@ -67,4 +86,4 @@ if ! (cd "$root/build-san" && \
     echo "ci: multi-core determinism gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer + portable-SIMD + IS calibration + multi-core green)"
+echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core green)"

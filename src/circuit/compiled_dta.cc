@@ -1,7 +1,5 @@
 #include "circuit/compiled_dta.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/logging.hh"
@@ -20,15 +18,21 @@ parseDtaBackend(const char *s, DtaBackend &out)
         out = DtaBackend::Levelized;
         return true;
     }
-    if (std::strcmp(s, "lane") == 0) {
-        out = DtaBackend::Lane;
-        return true;
-    }
     if (std::strcmp(s, "compiled") == 0) {
         out = DtaBackend::Compiled;
         return true;
     }
     return false;
+}
+
+bool
+dtaBackendFromInt(long long v, DtaBackend &out)
+{
+    if (v != static_cast<int>(DtaBackend::Levelized) &&
+        v != static_cast<int>(DtaBackend::Compiled))
+        return false;
+    out = static_cast<DtaBackend>(v);
+    return true;
 }
 
 const char *
@@ -37,59 +41,10 @@ dtaBackendName(DtaBackend backend)
     switch (backend) {
       case DtaBackend::Levelized:
         return "levelized";
-      case DtaBackend::Lane:
-        return "lane";
       case DtaBackend::Compiled:
         return "compiled";
     }
     return "unknown";
-}
-
-namespace {
-
-/** Cached backend choice; -1 = not yet resolved from the env. */
-std::atomic<int> gBackend{-1};
-
-DtaBackend
-backendFromEnv()
-{
-    const char *env = std::getenv("REPRO_DTA_BACKEND");
-    if (!env || !*env)
-        return DtaBackend::Lane;
-    DtaBackend b;
-    if (!parseDtaBackend(env, b)) {
-        warn("REPRO_DTA_BACKEND='%s' invalid (want "
-             "levelized|lane|compiled); using lane",
-             env);
-        return DtaBackend::Lane;
-    }
-    return b;
-}
-
-} // namespace
-
-DtaBackend
-dtaBackend()
-{
-    int v = gBackend.load(std::memory_order_relaxed);
-    if (v < 0) {
-        v = static_cast<int>(backendFromEnv());
-        gBackend.store(v, std::memory_order_relaxed);
-    }
-    return static_cast<DtaBackend>(v);
-}
-
-void
-setDtaBackend(DtaBackend backend)
-{
-    gBackend.store(static_cast<int>(backend),
-                   std::memory_order_relaxed);
-}
-
-void
-resetDtaBackend()
-{
-    gBackend.store(-1, std::memory_order_relaxed);
 }
 
 // ----------------------------------------------------------------- engine

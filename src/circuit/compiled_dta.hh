@@ -6,13 +6,14 @@
  *
  * Relationship to the other engines:
  *  - LevelizedDta is the scalar oracle: one sample per run() call.
- *  - LaneDta interprets the netlist 64 lanes at a time.
- *  - CompiledDta runs the same recurrences from a pre-lowered
- *    straight-line program (constants folded, copies propagated, dead
- *    cells dropped, timing fanins pre-filtered) on planes of 1..8
- *    words, dispatched to portable / AVX2 / AVX-512 kernels at
- *    runtime (util/simd.hh). Results are bit-identical to LevelizedDta
- *    per lane at every width and every ISA level.
+ *  - EventDrivenDta is the exact hazard-aware reference.
+ *  - CompiledDta, the one batched engine, runs the levelized
+ *    recurrences from a pre-lowered straight-line program (constants
+ *    folded, copies propagated, dead cells dropped, timing fanins
+ *    pre-filtered) on planes of 1..8 words, dispatched to portable /
+ *    AVX2 / AVX-512 kernels at runtime (util/simd.hh). Results are
+ *    bit-identical to LevelizedDta per lane at every width and every
+ *    ISA level.
  *
  * Like the other engines an instance is bound to one netlist,
  * annotation, and delay scale, owns scratch, and is not thread-safe;
@@ -31,26 +32,22 @@
 namespace tea::circuit {
 
 /**
- * Which engine executes batched DTA samples. Process-wide knob (like
- * timing::dtaLanes), resolved lazily from REPRO_DTA_BACKEND; the
- * default keeps the pre-existing LaneDta path byte-for-byte.
+ * Which engine executes batched DTA samples: a per-FpuCore choice
+ * (fpu::FpuCore::setDtaBackend), fed from ToolflowOptions. The numeric
+ * values are persisted in fleet plans and must stay stable; 1 belonged
+ * to a retired engine and is rejected wherever a value is parsed.
  */
 enum class DtaBackend : int
 {
     Levelized = 0, ///< scalar LevelizedDta loop (the oracle)
-    Lane = 1,      ///< 64-lane SWAR interpreter (default)
-    Compiled = 2,  ///< compiled program, SIMD-wide planes
+    Compiled = 2,  ///< compiled program, SIMD-wide planes (default)
 };
 
 /** Parse a backend name; returns false (out untouched) on junk. */
 bool parseDtaBackend(const char *s, DtaBackend &out);
+/** Map a persisted numeric value; returns false on an unknown one. */
+bool dtaBackendFromInt(long long v, DtaBackend &out);
 const char *dtaBackendName(DtaBackend backend);
-
-/** Active backend (lazily REPRO_DTA_BACKEND, default Lane). */
-DtaBackend dtaBackend();
-void setDtaBackend(DtaBackend backend);
-/** Drop the cached choice; next dtaBackend() re-reads the env. */
-void resetDtaBackend();
 
 /**
  * Result of one wide batch: `W` 64-bit words per flat output bit,
@@ -66,8 +63,10 @@ struct WideBatch
     /**
      * Worst dynamic arrival per lane (64 * W entries), over the
      * capture-risky cone: exact whenever it exceeds the capture time
-     * (every faulty lane), else a lower bound — same contract as
-     * LaneBatch::maxArrivalPs.
+     * (every faulty lane), else a lower bound that may be 0. The
+     * cone is every cell on some static path longer than the capture
+     * time; a dynamically late chain is itself such a path, so
+     * restricting the timing pass to it changes no capture decision.
      */
     std::vector<double> maxArrivalPs;
 };

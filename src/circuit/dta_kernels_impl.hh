@@ -256,8 +256,7 @@ denseWord(uint64_t t, const double *const *frow, const uint64_t *ftw,
  *
  * The dirty list is in topological order (the value sweep visits
  * cells that way), so every fanin's arrival row and post-prune toggle
- * word are final before a node reads them — exactly the ordering
- * LaneDta's toggled_ list provides.
+ * word are final before a node reads them.
  */
 template <unsigned W>
 inline void

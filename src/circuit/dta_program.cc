@@ -213,9 +213,9 @@ compileDtaProgram(const Netlist &nl, const DelayAnnotation &annot,
         d *= delayScale;
 
     // ---- capture-risky cone + remaining static path ----------------
-    // Arithmetic-identical to LaneDta::rebuildRiskyCone: the same
-    // forward/backward double recurrences decide the same risky set
-    // and the same pruning constants.
+    // Forward/backward double recurrences over the pre-scaled delays:
+    // a cell is risky when its longest static path through it exceeds
+    // the capture time; `remaining` is its pruning constant.
     std::vector<double> staticArr(n, 0.0), remaining(n, 0.0);
     std::vector<uint8_t> risky(n, 0);
     for (NetId id = 0; id < n; ++id) {
@@ -278,9 +278,8 @@ compileDtaProgram(const Netlist &nl, const DelayAnnotation &annot,
     // ---- timing liveness -------------------------------------------
     // A cell's toggles matter only if they can be non-zero (risky and
     // not constant-valued) and can reach a flat output through risky
-    // fanin edges — the transposed closure of LaneDta's sparse pass.
-    // Cells outside this closure are visited by the interpreter but
-    // can never change a captured bit; dropping them is pure savings.
+    // fanin edges. Cells outside this closure can never change a
+    // captured bit; dropping them is pure savings.
     auto canToggle = [&](NetId id) {
         return risky[id] && !isConstRef(ref[id]);
     };

@@ -4,7 +4,7 @@
  * fixed (netlist, annotation, delay scale, capture time) quadruple
  * into a flat specialized evaluation program.
  *
- * The interpreted engines (LevelizedDta, LaneDta) re-discover the same
+ * The interpreted engine (LevelizedDta) re-discovers the same
  * facts on every sample: which cells are constant, which are buffers,
  * which sit in the capture-risky cone, which fanins can ever carry a
  * late toggle. All of that is fixed for the lifetime of an operating
@@ -24,12 +24,16 @@
  *    delay, its remaining static path (the dynamic-slack pruning
  *    constant), and a *pre-filtered* fanin list — only fanins whose
  *    toggle planes can ever be non-zero (risky, non-constant) are
- *    kept, so the run-time recurrence never tests a fanin that the
- *    interpreter would have masked out anyway.
+ *    kept, so the run-time recurrence never tests a fanin whose
+ *    toggle is always zero.
  *
- * Exactness: the timing records replicate LaneDta's recurrence — the
- * same pre-scaled double delays, the same topological visit order, the
- * same `arr + remaining <= captureTime` pruning expression — and the
+ * Exactness: the timing records replicate LevelizedDta's recurrence,
+ * restricted to the capture-risky cone (cells on some static path
+ * longer than the capture time; a dynamically late chain is itself
+ * such a path) — the same pre-scaled double delays, the same
+ * topological visit order, plus an `arr + remaining <= captureTime`
+ * pruning test that drops only toggles that can no longer be late —
+ * and the
  * value program computes the same boolean functions, so settled /
  * captured planes and per-late-lane arrivals are bit-identical to
  * LevelizedDta::run at every lane width (tests/dta asserts this on
@@ -148,10 +152,10 @@ struct DtaProgram
 };
 
 /**
- * Lower `nl` for one operating point and capture time. The risky-cone
- * and remaining-path computation is arithmetic-identical to
- * LaneDta::rebuildRiskyCone, so the compiled timing pass prunes and
- * captures exactly like the interpreted one.
+ * Lower `nl` for one operating point and capture time. The risky cone
+ * and remaining-path constants come from the same double recurrences
+ * over the pre-scaled delays that LevelizedDta accumulates, so pruning
+ * never changes a capture decision.
  */
 DtaProgram compileDtaProgram(const Netlist &nl,
                              const DelayAnnotation &annot,

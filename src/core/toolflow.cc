@@ -242,7 +242,7 @@ optionsFromEnv()
             opt.dtaBackend = b;
         else
             warn("REPRO_DTA_BACKEND='%s' invalid (want "
-                 "levelized|lane|compiled); keeping %s",
+                 "levelized|compiled); keeping %s",
                  be, circuit::dtaBackendName(opt.dtaBackend));
     }
     opt.threads = ThreadPool::defaultThreads();
@@ -262,8 +262,9 @@ Toolflow::Toolflow(ToolflowOptions opt)
     // already have armed them from --trace/--metrics flags).
     obs::configureFromEnv();
     // The options struct, not the raw env, decides the batched-DTA
-    // engine — so programmatic Toolflow users get the same knob.
-    circuit::setDtaBackend(opt_.dtaBackend);
+    // engine — per toolflow, so concurrent campaigns in one process
+    // (the daemon) each keep their own.
+    core_->setDtaBackend(opt_.dtaBackend);
     if (!opt_.cacheDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opt_.cacheDir, ec);

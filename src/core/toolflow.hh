@@ -77,11 +77,12 @@ struct ToolflowOptions
     uint64_t maxAdaptiveRuns = 0;
     /**
      * Batched-DTA engine for characterization campaigns
-     * (REPRO_DTA_BACKEND=levelized|lane|compiled). Results are
-     * bit-identical across backends; the knob trades interpretation
-     * against compile-once specialized execution.
+     * (REPRO_DTA_BACKEND=levelized|compiled), applied to this
+     * toolflow's own FpuCore. Results are bit-identical across
+     * backends; levelized is the scalar oracle, compiled the fast
+     * batched engine.
      */
-    circuit::DtaBackend dtaBackend = circuit::DtaBackend::Lane;
+    circuit::DtaBackend dtaBackend = circuit::DtaBackend::Compiled;
     /**
      * Importance-sampled injection (REPRO_IS=1): IA/WA campaign cells
      * plan injections under a surrogate-tilted proposal and estimate

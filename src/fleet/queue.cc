@@ -97,11 +97,12 @@ WorkQueue::publish(const FleetPlan &plan,
     // the remains of a *different* campaign (other seed, spec, or
     // options). Those done/tries/poison records describe other work —
     // reusing them would silently splice a previous campaign's results
-    // into this grid. The plan file is the identity check: byte-equal
-    // means same campaign (resume), anything else means wipe.
+    // into this grid. The plan file is the identity check: an equal
+    // planIdentity means same campaign (resume), anything else (or
+    // damaged bytes) means wipe.
     std::string planBytes = plan.serialize();
     auto prevPlan = readFileToString(planPath());
-    if (prevPlan && *prevPlan != planBytes) {
+    if (prevPlan && planIdentity(*prevPlan) != planIdentity(planBytes)) {
         inform("fleet: spool '%s' holds a different campaign's plan; "
                "clearing it",
                dir_.c_str());

@@ -65,9 +65,10 @@ class WorkQueue
     // ---- coordinator side -------------------------------------------
     /**
      * Create the directory tree and publish plan + units. The plan
-     * file doubles as the spool's identity: publishing a byte-equal
-     * plan is an idempotent resume that preserves done/tries/poison
-     * state, while a differing plan (or a unit whose bytes changed,
+     * file doubles as the spool's identity: publishing a plan with an
+     * equal planIdentity (it may differ only in its DTA engine) is an
+     * idempotent resume that preserves done/tries/poison state, while
+     * a differing plan (or a unit whose bytes changed,
      * e.g. another shard size) wipes the stale state first — a spool
      * left by a different campaign must never leak its results into
      * this one.

@@ -1,19 +1,34 @@
 #include "fleet/workunit.hh"
 
 #include <cstdio>
+#include <cstdlib>
 #include <sstream>
 
 #include "util/crc32.hh"
 
 namespace tea::fleet {
 
+std::optional<std::string>
+planIdentity(const std::string &planBytes)
+{
+    auto body = unsealBody(planBytes);
+    if (!body)
+        return std::nullopt;
+    // Every backend yields byte-identical results, so the engine line
+    // is dropped: switching engines (or upgrading past a retired one)
+    // resumes a spool instead of wiping it.
+    size_t at = body->find("\ndtabackend ");
+    if (at != std::string::npos)
+        body->erase(at, body->find('\n', at + 1) - at);
+    return body;
+}
+
 std::string
 spoolNamespace(const FleetPlan &plan)
 {
-    std::string bytes = plan.serialize();
+    std::string id = *planIdentity(plan.serialize());
     char buf[16];
-    std::snprintf(buf, sizeof(buf), "c%08x",
-                  crc32(bytes.data(), bytes.size()));
+    std::snprintf(buf, sizeof(buf), "c%08x", crc32(id.data(), id.size()));
     return buf;
 }
 
@@ -209,10 +224,15 @@ FleetPlan::parse(const std::string &content)
             p.opt.ciConf = std::strtod(value.c_str(), nullptr);
         else if (key == "maxadaptive")
             p.opt.maxAdaptiveRuns = toU64(value);
-        else if (key == "dtabackend")
-            p.opt.dtaBackend =
-                static_cast<circuit::DtaBackend>(toU64(value));
-        else if (key == "isenable")
+        else if (key == "dtabackend") {
+            // A retired or unknown engine is a malformed plan, never
+            // an out-of-range enum.
+            char *end = nullptr;
+            long long v = std::strtoll(value.c_str(), &end, 10);
+            if (value.empty() || *end != '\0' ||
+                !circuit::dtaBackendFromInt(v, p.opt.dtaBackend))
+                return std::nullopt;
+        } else if (key == "isenable")
             p.opt.isEnable = value == "1";
         else if (key == "isboost")
             p.opt.isBoost = std::strtod(value.c_str(), nullptr);

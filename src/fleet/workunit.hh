@@ -80,9 +80,17 @@ struct UnitResult
 };
 
 /**
+ * A serialized plan's campaign identity: its unsealed body without
+ * the `dtabackend` line, since every DTA engine produces byte-identical
+ * results. Plans with equal identities describe the same campaign;
+ * nullopt when the bytes are damaged.
+ */
+std::optional<std::string> planIdentity(const std::string &planBytes);
+
+/**
  * Stable spool subdirectory name for a plan: "c<8hex>", the CRC-32 of
- * the serialized plan bytes. The daemon namespaces one spool root
- * across concurrent campaigns with it — a byte-identical resubmission
+ * its planIdentity(). The daemon namespaces one spool root across
+ * concurrent campaigns with it — a resubmission of the same campaign
  * lands in the same spool (and resumes, by WorkQueue::publish's
  * plan-identity rule) while distinct campaigns can never collide on
  * unit ids.

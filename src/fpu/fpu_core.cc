@@ -69,24 +69,25 @@ FpuCore::execute(size_t point, FpuOp op, uint64_t a, uint64_t b)
 }
 
 void
-FpuCore::executeBatch(size_t point, FpuOp op, const uint64_t *a,
+FpuCore::executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes, Exec *out)
 {
-    FpuUnit &u = unit(unitFor(op));
+    panic_if(lanes == 0 || lanes > circuit::CompiledDta::kMaxLanes,
+             "executeBatch: bad lane count %u", lanes);
+    FpuUnit &u = unit(unitFor(ops[0]));
     // Transpose the operands into W-word planes per stage-0 input net
-    // (input-major; one word per net up to 64 lanes, the historical
-    // layout); packInputs stays the single source of truth for the
-    // input layout itself.
+    // (input-major); packInputs stays the single source of truth for
+    // the input layout itself, and panics on an op of another unit.
     const unsigned W = circuit::CompiledDta::wordsFor(lanes);
     std::vector<uint64_t> planes(u.stage(0).numInputs() * size_t{W},
                                  0);
     for (unsigned l = 0; l < lanes; ++l) {
-        auto in = u.packInputs(op, a[l], b[l]);
+        auto in = u.packInputs(ops[l], a[l], b[l]);
         for (size_t i = 0; i < in.size(); ++i)
             if (in[i])
                 planes[i * W + l / 64] |= 1ULL << (l % 64);
     }
-    u.executeBatch(point, planes, lanes, captureTimePs_, out);
+    u.executeBatch(point, planes, lanes, captureTimePs_, backend_, out);
 }
 
 void

@@ -78,16 +78,26 @@ class FpuCore
     Exec execute(size_t point, FpuOp op, uint64_t a, uint64_t b = 0);
 
     /**
-     * Run `lanes` instructions of one op type at once through the
-     * unit's batched DTA engine (<= 64 lanes on the lane backend,
-     * <= 512 on the compiled one — see circuit::dtaBackend); out[l]
-     * receives lane l's Exec. Bit-identical to `lanes` sequential
-     * execute() calls — including pipeline-history effects — at any
-     * lane count and backend (see FpuUnit::executeBatch for the
-     * fallback rules).
+     * Run `lanes` (1..circuit::CompiledDta::kMaxLanes) instructions at
+     * once through one unit's batched DTA engine, one instruction per
+     * lane: lane l is (ops[l], a[l], b[l]) and out[l] receives its
+     * Exec. Every op must run on the same unit; add and sub share one,
+     * so a batch may mix them (packInputs sets the sub bit per lane).
+     * Bit-identical to `lanes` sequential execute() calls — including
+     * pipeline-history effects — at any lane count and backend (see
+     * FpuUnit::executeBatch for the fallback rules).
      */
-    void executeBatch(size_t point, FpuOp op, const uint64_t *a,
+    void executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes, Exec *out);
+
+    /**
+     * Engine behind executeBatch (default Compiled; Levelized runs
+     * batches as the scalar oracle loop). Results are bit-identical
+     * either way. Set it before campaigns start: it is read, not
+     * synchronized, by concurrent shards.
+     */
+    circuit::DtaBackend dtaBackend() const { return backend_; }
+    void setDtaBackend(circuit::DtaBackend b) { backend_ = b; }
 
     /** Clear pipeline history on every unit. */
     void reset(size_t point);
@@ -113,6 +123,7 @@ class FpuCore
     std::vector<circuit::StaResult> intSta_;
     double clockPs_ = 0.0;
     double captureTimePs_ = 0.0;
+    circuit::DtaBackend backend_ = circuit::DtaBackend::Compiled;
 };
 
 } // namespace tea::fpu

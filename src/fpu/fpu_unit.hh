@@ -92,32 +92,30 @@ class FpuUnit
                  double captureTimePs);
 
     /**
-     * Execute up to 512 operations at once through a batched DTA
-     * engine, selected by circuit::dtaBackend(): the 64-lane SWAR
-     * interpreter (circuit::LaneDta, lanes <= 64), the compiled
-     * program engine (circuit::CompiledDta, lanes <= 512), or a
-     * scalar LevelizedDta loop. stage0Planes holds
-     * circuit::CompiledDta::wordsFor(lanes) uint64_t words per
-     * stage-0 input net, input-major (one word per net for lanes <=
-     * 64 — the historical layout); lane l is operation l's input, and
-     * out[l] receives its Exec. Operations behave exactly as `lanes`
-     * sequential execute() calls: lane l's pipeline history is lane
-     * l-1's stage inputs (lane 0 continues from the point's stored
-     * history), and after the batch the history holds the last lane's
-     * inputs — results are bit-identical to the scalar path at every
-     * backend and lane width, except that Exec::maxArrivalPs is
-     * computed over the capture-risky cone only (exact for every op
-     * with a timing error, a lower bound for error-free ops; see
-     * circuit::LaneBatch). Exact (event-driven) operating points and
-     * single-lane batches fall back to scalar execute() calls
-     * internally.
+     * Execute up to 512 operations at once: through the compiled
+     * program engine (circuit::CompiledDta) on the Compiled backend,
+     * or as a scalar LevelizedDta loop on the Levelized one.
+     * stage0Planes holds circuit::CompiledDta::wordsFor(lanes)
+     * uint64_t words per stage-0 input net, input-major; lane l is
+     * operation l's input, and out[l] receives its Exec. Operations
+     * behave exactly as `lanes` sequential execute() calls: lane l's
+     * pipeline history is lane l-1's stage inputs (lane 0 continues
+     * from the point's stored history), and after the batch the
+     * history holds the last lane's inputs — results are bit-identical
+     * to the scalar path at every backend and lane width, except that
+     * Exec::maxArrivalPs is computed over the capture-risky cone only
+     * (exact for every op with a timing error, a lower bound for
+     * error-free ops; see circuit::WideBatch). Exact (event-driven)
+     * operating points and single-lane batches fall back to scalar
+     * execute() calls internally.
      *
      * Same concurrency contract as execute(): concurrent calls are
      * safe iff they target distinct operating points.
      */
     void executeBatch(size_t point,
                       const std::vector<uint64_t> &stage0Planes,
-                      unsigned lanes, double captureTimePs, Exec *out);
+                      unsigned lanes, double captureTimePs,
+                      circuit::DtaBackend backend, Exec *out);
 
     /** Forget the pipeline history at an operating point. */
     void reset(size_t point);
@@ -139,8 +137,6 @@ class FpuUnit
         double scale;
         bool exact;
         std::vector<std::unique_ptr<circuit::DtaEngine>> engines;
-        /** Per-stage lane engines (levelized points only). */
-        std::vector<std::unique_ptr<circuit::LaneDta>> laneEngines;
         /**
          * Per-stage compiled engines, created (and their netlists
          * lowered) on the first batch the compiled backend executes

@@ -150,7 +150,7 @@ Scheduler::submit(const std::string &planBytes,
     // because the override lands *before* dedup keying, two clients
     // differing only in their local cache paths still deduplicate.
     plan->opt.cacheDir = opt_.cacheDir;
-    std::string canon = plan->serialize();
+    std::string canon = *fleet::planIdentity(plan->serialize());
 
     std::lock_guard<std::mutex> lock(mu_);
     obs::Registry &reg = obs::Registry::global();
@@ -191,7 +191,7 @@ Scheduler::submit(const std::string &planBytes,
 
     auto c = std::make_unique<Campaign>();
     c->id = nextId_++;
-    c->planBytes = canon;
+    c->identity = canon;
     c->plan = std::move(*plan);
     c->client = client;
     c->clashKey = clashKeyFor(c->plan.opt);
@@ -273,7 +273,7 @@ Scheduler::cancel(uint64_t id)
         queue_.erase(std::remove(queue_.begin(), queue_.end(), id),
                      queue_.end());
         c.state = CampaignState::Cancelled;
-        activeByPlan_.erase(c.planBytes);
+        activeByPlan_.erase(c.identity);
         obs::Registry::global()
             .counter(obs::metric::kDaemonCancelled, "",
                      "campaigns cancelled by request")
@@ -343,7 +343,7 @@ Scheduler::stop()
         for (uint64_t id : queue_) {
             Campaign &c = *campaigns_.at(id);
             c.state = CampaignState::Cancelled;
-            activeByPlan_.erase(c.planBytes);
+            activeByPlan_.erase(c.identity);
         }
         queue_.clear();
         for (auto &[id, c] : campaigns_)
@@ -379,7 +379,7 @@ Scheduler::finish(Campaign &c, CampaignState state)
     c.state = state;
     runningClash_.erase(c.clashKey);
     --running_;
-    auto it = activeByPlan_.find(c.planBytes);
+    auto it = activeByPlan_.find(c.identity);
     if (it != activeByPlan_.end() && it->second == c.id)
         activeByPlan_.erase(it);
     obs::Registry &reg = obs::Registry::global();
@@ -413,7 +413,7 @@ Scheduler::execute(Campaign &c)
     };
     fleet::FleetOptions fopt = opt_.fleet;
     // Every campaign gets its own spool namespace under the shared
-    // root; byte-identical plans map to the same namespace, so a
+    // root; plans with one identity map to the same namespace, so a
     // resubmission of a crashed campaign resumes its spool.
     fopt.spoolDir = opt_.spoolRoot + "/" + fleet::spoolNamespace(c.plan);
 

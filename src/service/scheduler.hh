@@ -184,8 +184,8 @@ class Scheduler
     struct Campaign
     {
         uint64_t id = 0;
-        /** Canonical identity: serialized plan after the overrides. */
-        std::string planBytes;
+        /** fleet::planIdentity of the plan after the overrides. */
+        std::string identity;
         fleet::FleetPlan plan;
         std::string client;
         /** Shared-cache artifact coordinates (see file header). */
@@ -212,7 +212,7 @@ class Scheduler
     uint64_t nextId_ = 1;
     std::map<uint64_t, std::unique_ptr<Campaign>> campaigns_;
     std::deque<uint64_t> queue_;
-    /** planBytes -> active (queued/running) campaign id. */
+    /** Plan identity -> active (queued/running) campaign id. */
     std::map<std::string, uint64_t> activeByPlan_;
     /** Clash keys of running campaigns (serialization guard). */
     std::set<std::string> runningClash_;

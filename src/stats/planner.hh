@@ -21,7 +21,7 @@
  * and fold counts back in stratum order at the round barrier. Nothing
  * about scheduling, thread count, or lane width can leak into the
  * allocation, so adaptive campaigns are bit-identical at any
- * REPRO_THREADS x REPRO_DTA_LANES setting.
+ * thread count, batch width and DTA backend.
  *
  * Neyman allocation: round budget is split across unconverged strata
  * proportionally to the binomial standard deviation sqrt(p(1-p))

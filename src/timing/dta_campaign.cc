@@ -1,9 +1,7 @@
 #include "timing/dta_campaign.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 
 #include "obs/metrics.hh"
@@ -214,78 +212,27 @@ DtaCampaign::execute(FpuOp op, uint64_t a, uint64_t b)
 }
 
 void
-DtaCampaign::executeBlock(FpuOp op, const uint64_t *a, const uint64_t *b,
-                          unsigned lanes)
+DtaCampaign::executeBlock(const FpuOp *ops, const uint64_t *a,
+                          const uint64_t *b, unsigned lanes)
 {
+    if (lanes == 1) {
+        static obs::Counter mFallback = obs::Registry::global().counter(
+            obs::metric::kDtaLaneFallbackOps, "",
+            "DTA ops run scalar outside a batch");
+        mFallback.inc(1);
+        execute(ops[0], a[0], b[0]);
+        return;
+    }
     static obs::Counter mBatches = obs::Registry::global().counter(
-        obs::metric::kDtaLaneBatches, "",
-        "lane-batched DTA blocks executed");
-    fpu::FpuCore::Exec execs[circuit::CompiledDta::kMaxLanes];
-    core_.executeBatch(point_, op, a, b, lanes, execs);
+        obs::metric::kDtaLaneBatches, "", "batched DTA blocks executed");
+    fpu::FpuCore::Exec execs[kMaxDtaLanes];
+    core_.executeBatch(point_, ops, a, b, lanes, execs);
     mBatches.inc(1);
-    // Lanes are recorded in order, so the stats stream — totals,
-    // per-bit counts, and reservoir key sequence — is exactly the one
-    // `lanes` scalar execute() calls would produce.
+    // Lanes are recorded in order, so every op type's stats stream —
+    // totals, per-bit counts, and reservoir key sequence — is exactly
+    // the one `lanes` scalar execute() calls would produce.
     for (unsigned l = 0; l < lanes; ++l)
-        record(op, execs[l].errorMask);
-}
-
-namespace {
-
-/** Cached lane width; 0 = not yet resolved from the environment. */
-std::atomic<unsigned> gDtaLanes{0};
-
-/**
- * Lane ceiling of the active backend: the lane interpreter is a
- * 64-lane SWAR engine, while the compiled backend takes up to 512 and
- * the levelized one is a scalar loop with no width limit of its own
- * (it shares the compiled ceiling so plane buffers stay bounded).
- */
-unsigned
-maxDtaLanes()
-{
-    return circuit::dtaBackend() == circuit::DtaBackend::Lane
-               ? circuit::LaneDta::kMaxLanes
-               : circuit::CompiledDta::kMaxLanes;
-}
-
-unsigned
-lanesFromEnv()
-{
-    const unsigned maxLanes = maxDtaLanes();
-    const char *env = std::getenv("REPRO_DTA_LANES");
-    if (!env || !*env)
-        return maxLanes;
-    char *end = nullptr;
-    long n = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || n < 1 ||
-        n > static_cast<long>(maxLanes)) {
-        warn("REPRO_DTA_LANES='%s' invalid (want 1..%u); using %u", env,
-             maxLanes, maxLanes);
-        return maxLanes;
-    }
-    return static_cast<unsigned>(n);
-}
-
-} // namespace
-
-unsigned
-dtaLanes()
-{
-    unsigned lanes = gDtaLanes.load(std::memory_order_relaxed);
-    if (lanes == 0) {
-        lanes = lanesFromEnv();
-        gDtaLanes.store(lanes, std::memory_order_relaxed);
-    }
-    return lanes;
-}
-
-void
-setDtaLanes(unsigned lanes)
-{
-    if (lanes > maxDtaLanes())
-        lanes = maxDtaLanes();
-    gDtaLanes.store(lanes, std::memory_order_relaxed);
+        record(ops[l], execs[l].errorMask);
 }
 
 void
@@ -452,44 +399,39 @@ runSharded(fpu::FpuCore &core, size_t point, size_t shards,
 /** Poll cadence inside shard bodies (gate-level ops are slow). */
 constexpr uint64_t kOpPollMask = 0x3F;
 
+/** Clamp a caller's batch width into the engine's range. */
+unsigned
+clampLanes(unsigned lanes)
+{
+    return std::clamp(lanes, 1u, kMaxDtaLanes);
+}
+
 /**
  * Stream `count` random-operand ops of one type through a shard's
- * campaign, lane-batched where possible. Shared verbatim by the fixed
- * and adaptive characterizations so a shard produces identical
- * statistics for the same substream in either mode. Operands are
- * always drawn one op at a time in stream order, so the lane width
- * never shifts the RNG sequence.
+ * campaign in batches of up to `lanes`; only a width-1 remainder runs
+ * scalar. Shared verbatim by the fixed and adaptive characterizations
+ * so a shard produces identical statistics for the same substream in
+ * either mode. Operands are always drawn one op at a time in stream
+ * order, so the lane width never shifts the RNG sequence.
  */
 void
 runRandomShardOps(DtaCampaign &campaign, FpuOp op, uint64_t count,
                   Rng &shardRng, unsigned lanes,
                   const Watchdog *watchdog)
 {
+    FpuOp ops[kMaxDtaLanes];
+    std::fill_n(ops, lanes, op);
+    uint64_t a[kMaxDtaLanes], b[kMaxDtaLanes];
     for (uint64_t i = 0; i < count;) {
         if (watchdog && (lanes > 1 || (i & kOpPollMask) == 0) &&
             watchdog->poll() != Watchdog::Stop::None)
             return;
-        if (lanes > 1 && count - i >= lanes) {
-            uint64_t a[circuit::CompiledDta::kMaxLanes];
-            uint64_t b[circuit::CompiledDta::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l)
-                randomOperands(op, shardRng, a[l], b[l]);
-            campaign.executeBlock(op, a, b, lanes);
-            i += lanes;
-        } else {
-            if (lanes > 1) {
-                static obs::Counter mFallback =
-                    obs::Registry::global().counter(
-                        obs::metric::kDtaLaneFallbackOps, "",
-                        "DTA ops run scalar while lane "
-                        "batching was enabled");
-                mFallback.inc(1);
-            }
-            uint64_t a, b;
-            randomOperands(op, shardRng, a, b);
-            campaign.execute(op, a, b);
-            ++i;
-        }
+        auto n = static_cast<unsigned>(
+            std::min<uint64_t>(lanes, count - i));
+        for (unsigned l = 0; l < n; ++l)
+            randomOperands(op, shardRng, a[l], b[l]);
+        campaign.executeBlock(ops, a, b, n);
+        i += n;
     }
 }
 
@@ -534,12 +476,15 @@ traceWindows(uint64_t traceSize, uint64_t maxOps)
 }
 
 /**
- * Replay one trace window through a shard's campaign. Lane blocks span
- * maximal runs of one op type (a block drives a single unit); shorter
- * runs and op changes fall back to the scalar path. Grouping never
- * reorders the replay, so results stay bit-identical at every lane
- * width — and identical between the fixed and adaptive campaigns,
- * which share this body.
+ * Replay one trace window through a shard's campaign, grouped by FPU
+ * unit: for each unit in fixed unit order, that unit's ops in trace
+ * order, in batches of up to `lanes` (only a unit's width-1 remainder
+ * runs scalar). Regrouping cannot change a result: pipeline history is
+ * per unit, every op type lives on exactly one unit (so each type's
+ * stats and reservoir-key sequence keep their trace order), and the
+ * stats never read arrival times. Results are therefore bit-identical
+ * at every lane width — and identical between the fixed and adaptive
+ * campaigns, which share this body.
  */
 void
 runTraceWindowOps(DtaCampaign &campaign,
@@ -547,35 +492,37 @@ runTraceWindowOps(DtaCampaign &campaign,
                   const TraceWindow &w, unsigned lanes,
                   const Watchdog *watchdog)
 {
-    for (uint64_t i = 0; i < w.count;) {
-        if (watchdog && (lanes > 1 || (i & kOpPollMask) == 0) &&
-            watchdog->poll() != Watchdog::Stop::None)
-            return;
-        const auto &e0 = trace[w.begin + i];
-        unsigned run = 1;
-        while (run < lanes && i + run < w.count &&
-               trace[w.begin + i + run].op == e0.op)
-            ++run;
-        if (lanes > 1 && run == lanes) {
-            uint64_t a[circuit::CompiledDta::kMaxLanes];
-            uint64_t b[circuit::CompiledDta::kMaxLanes];
-            for (unsigned l = 0; l < lanes; ++l) {
-                a[l] = trace[w.begin + i + l].a;
-                b[l] = trace[w.begin + i + l].b;
+    auto unitOf = [&](uint64_t i) {
+        return static_cast<size_t>(fpu::unitFor(trace[w.begin + i].op));
+    };
+    // Stable counting sort of the window's op indices by unit.
+    std::array<uint64_t, fpu::kNumFpuUnits + 1> start{};
+    for (uint64_t i = 0; i < w.count; ++i)
+        ++start[unitOf(i) + 1];
+    for (unsigned u = 0; u < fpu::kNumFpuUnits; ++u)
+        start[u + 1] += start[u];
+    std::vector<uint64_t> order(w.count);
+    auto next = start;
+    for (uint64_t i = 0; i < w.count; ++i)
+        order[next[unitOf(i)]++] = i;
+
+    FpuOp ops[kMaxDtaLanes];
+    uint64_t a[kMaxDtaLanes], b[kMaxDtaLanes];
+    for (unsigned u = 0; u < fpu::kNumFpuUnits; ++u) {
+        for (uint64_t k = start[u]; k < start[u + 1];) {
+            if (watchdog && (lanes > 1 || (k & kOpPollMask) == 0) &&
+                watchdog->poll() != Watchdog::Stop::None)
+                return;
+            auto n = static_cast<unsigned>(
+                std::min<uint64_t>(lanes, start[u + 1] - k));
+            for (unsigned l = 0; l < n; ++l) {
+                const auto &e = trace[w.begin + order[k + l]];
+                ops[l] = e.op;
+                a[l] = e.a;
+                b[l] = e.b;
             }
-            campaign.executeBlock(e0.op, a, b, lanes);
-            i += lanes;
-        } else {
-            if (lanes > 1) {
-                static obs::Counter mFallback =
-                    obs::Registry::global().counter(
-                        obs::metric::kDtaLaneFallbackOps, "",
-                        "DTA ops run scalar while lane "
-                        "batching was enabled");
-                mFallback.inc(1);
-            }
-            campaign.execute(e0.op, e0.a, e0.b);
-            ++i;
+            campaign.executeBlock(ops, a, b, n);
+            k += n;
         }
     }
 }
@@ -584,7 +531,8 @@ runTraceWindowOps(DtaCampaign &campaign,
 
 CampaignStats
 runRandomCampaign(fpu::FpuCore &core, size_t point, uint64_t countPerOp,
-                  Rng &rng, ThreadPool *pool, const Watchdog *watchdog)
+                  Rng &rng, ThreadPool *pool, const Watchdog *watchdog,
+                  unsigned lanes)
 {
     // Fixed shard geometry: ceil(countPerOp / kDtaShardOps) shards per
     // op type, laid out op-major so shard index <-> (op, chunk) is a
@@ -593,7 +541,7 @@ runRandomCampaign(fpu::FpuCore &core, size_t point, uint64_t countPerOp,
         std::max<uint64_t>(1, (countPerOp + kDtaShardOps - 1) /
                                   kDtaShardOps);
     Rng base = rng.split();
-    const unsigned lanes = dtaLanes();
+    lanes = clampLanes(lanes);
     return runSharded(
         core, point, fpu::kNumFpuOps * shardsPerOp, pool, watchdog,
         [&, lanes](size_t s, unsigned attempt, DtaCampaign &campaign) {
@@ -614,12 +562,12 @@ CampaignStats
 runTraceCampaign(fpu::FpuCore &core, size_t point,
                  const std::vector<sim::FpTraceEntry> &trace,
                  uint64_t maxOps, ThreadPool *pool,
-                 const Watchdog *watchdog)
+                 const Watchdog *watchdog, unsigned lanes)
 {
     if (trace.empty())
         return CampaignStats{};
     auto windows = traceWindows(trace.size(), maxOps);
-    const unsigned lanes = dtaLanes();
+    lanes = clampLanes(lanes);
     return runSharded(
         core, point, windows.size(), pool, watchdog,
         [&, lanes](size_t s, unsigned, DtaCampaign &campaign) {
@@ -681,7 +629,8 @@ publishPlannerMetrics(const stats::AdaptivePlanner &planner,
 CampaignStats
 runAdaptiveRandomCampaign(fpu::FpuCore &core, size_t point,
                           const stats::PlannerConfig &cfg, Rng &rng,
-                          ThreadPool *pool, const Watchdog *watchdog)
+                          ThreadPool *pool, const Watchdog *watchdog,
+                          unsigned lanes)
 {
     // Work is always cut into whole kDtaShardOps-sized shards so the
     // shard geometry — and with it every substream — stays a pure
@@ -693,7 +642,7 @@ runAdaptiveRandomCampaign(fpu::FpuCore &core, size_t point,
     stats::AdaptivePlanner planner(shardCfg, fpu::kNumFpuOps);
 
     Rng base = rng.split();
-    const unsigned lanes = dtaLanes();
+    lanes = clampLanes(lanes);
     CampaignStats merged;
     // Next absolute chunk index per op type. Substreams and reservoir
     // keys are derived from (op, chunk), never from a shard's position
@@ -759,7 +708,8 @@ runAdaptiveTraceCampaign(fpu::FpuCore &core, size_t point,
                          const std::vector<sim::FpTraceEntry> &trace,
                          uint64_t maxOps,
                          const stats::PlannerConfig &cfg,
-                         ThreadPool *pool, const Watchdog *watchdog)
+                         ThreadPool *pool, const Watchdog *watchdog,
+                         unsigned lanes)
 {
     if (trace.empty())
         return CampaignStats{};
@@ -779,7 +729,7 @@ runAdaptiveTraceCampaign(fpu::FpuCore &core, size_t point,
         shardCfg.initialRound = kDtaShardOps;
     stats::AdaptivePlanner planner(shardCfg, 1);
 
-    const unsigned lanes = dtaLanes();
+    lanes = clampLanes(lanes);
     CampaignStats merged;
     size_t nextWindow = 0;
     while (!planner.done() && nextWindow < windows.size()) {

@@ -144,11 +144,13 @@ class DtaCampaign
     void execute(fpu::FpuOp op, uint64_t a, uint64_t b);
 
     /**
-     * Run `lanes` (<= 64) same-op instructions through the
-     * bit-parallel lane engine and record each lane in order —
-     * statistics are bit-identical to `lanes` execute() calls.
+     * Run `lanes` (1..kMaxDtaLanes) ops of one FPU unit as one batch —
+     * lane l is (ops[l], a[l], b[l]) — and record each lane in order;
+     * statistics are bit-identical to `lanes` execute() calls. A
+     * one-lane block runs scalar and counts as a batch fallback
+     * (tea_dta_lane_fallback_ops_total).
      */
-    void executeBlock(fpu::FpuOp op, const uint64_t *a,
+    void executeBlock(const fpu::FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes);
 
     const CampaignStats &stats() const { return stats_; }
@@ -173,17 +175,13 @@ class DtaCampaign
 uint64_t maskPriority(uint64_t seed, unsigned op, uint64_t seq);
 
 /**
- * Batch width campaigns use, cached from REPRO_DTA_LANES on first
- * call. The ceiling tracks the active DTA backend (see
- * circuit::dtaBackend): 64 on the lane backend, 512 otherwise; unset
- * defaults to the ceiling and out-of-range values warn and clamp to
- * it. 1 disables batching. Campaign results are bit-identical at
- * every width — the knob is purely a performance/debugging switch.
+ * Widest batch a campaign issues: the compiled engine's ceiling, and
+ * the default `lanes` argument of every campaign below. A campaign
+ * clamps its `lanes` into [1, kMaxDtaLanes]; 1 runs every op scalar.
+ * Results are bit-identical at every width — the argument is purely a
+ * performance and testing switch.
  */
-unsigned dtaLanes();
-
-/** Override the lane width (0 = re-read REPRO_DTA_LANES). */
-void setDtaLanes(unsigned lanes);
+constexpr unsigned kMaxDtaLanes = circuit::CompiledDta::kMaxLanes;
 
 /**
  * Uniform random operand of paper-style characterization for an op:
@@ -221,7 +219,8 @@ constexpr unsigned kDtaShardAttempts = 2;
 CampaignStats runRandomCampaign(fpu::FpuCore &core, size_t point,
                                 uint64_t countPerOp, Rng &rng,
                                 ThreadPool *pool = nullptr,
-                                const Watchdog *watchdog = nullptr);
+                                const Watchdog *watchdog = nullptr,
+                                unsigned lanes = kMaxDtaLanes);
 
 /**
  * WA-model characterization: replay (a sample of) a workload's FP
@@ -229,13 +228,16 @@ CampaignStats runRandomCampaign(fpu::FpuCore &core, size_t point,
  * contiguous windows evenly spaced across the trace (contiguity
  * preserves the operand-transition history the timing model needs).
  * Windows are independent shards: each starts from clean pipeline
- * history, so results are thread-count-invariant.
+ * history, so results are thread-count-invariant. Within a window the
+ * ops are batched per FPU unit (each unit's ops in trace order), which
+ * is exact because pipeline history is per unit.
  */
 CampaignStats runTraceCampaign(fpu::FpuCore &core, size_t point,
                                const std::vector<sim::FpTraceEntry> &trace,
                                uint64_t maxOps,
                                ThreadPool *pool = nullptr,
-                               const Watchdog *watchdog = nullptr);
+                               const Watchdog *watchdog = nullptr,
+                               unsigned lanes = kMaxDtaLanes);
 
 /**
  * Confidence-driven IA characterization: instead of a fixed count per
@@ -252,7 +254,8 @@ CampaignStats
 runAdaptiveRandomCampaign(fpu::FpuCore &core, size_t point,
                           const stats::PlannerConfig &cfg, Rng &rng,
                           ThreadPool *pool = nullptr,
-                          const Watchdog *watchdog = nullptr);
+                          const Watchdog *watchdog = nullptr,
+                          unsigned lanes = kMaxDtaLanes);
 
 /**
  * Confidence-driven WA characterization: the window geometry of
@@ -269,7 +272,8 @@ runAdaptiveTraceCampaign(fpu::FpuCore &core, size_t point,
                          uint64_t maxOps,
                          const stats::PlannerConfig &cfg,
                          ThreadPool *pool = nullptr,
-                         const Watchdog *watchdog = nullptr);
+                         const Watchdog *watchdog = nullptr,
+                         unsigned lanes = kMaxDtaLanes);
 
 } // namespace tea::timing
 

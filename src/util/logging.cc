@@ -9,7 +9,11 @@ namespace tea {
 
 namespace {
 
-bool quietFlag = false;
+/**
+ * setQuiet() state. Atomic because the thread that toggles it (a bench
+ * main, a test fixture) is rarely the worker thread that logs.
+ */
+std::atomic<bool> quietFlag{false};
 
 constexpr int kLevelUnset = -1;
 std::atomic<int> levelOverride{kLevelUnset}; ///< setLogLevel() wins
@@ -31,6 +35,14 @@ levelFromEnv()
                  "(want silent|warn|info or 0|1|2)\n",
                  env);
     return LogLevel::Info;
+}
+
+/** Whether a diagnostic at `level` reaches its sink right now. */
+bool
+enabled(LogLevel level)
+{
+    return !quietFlag.load(std::memory_order_relaxed) &&
+           logLevel() >= level;
 }
 
 } // namespace
@@ -55,7 +67,7 @@ setLogLevel(LogLevel level)
 void
 logWarn(const char *fmt, ...)
 {
-    if (quietFlag || logLevel() < LogLevel::Warn)
+    if (!enabled(LogLevel::Warn))
         return;
     va_list ap;
     va_start(ap, fmt);
@@ -67,7 +79,7 @@ logWarn(const char *fmt, ...)
 void
 logInfo(const char *fmt, ...)
 {
-    if (logLevel() < LogLevel::Info)
+    if (!enabled(LogLevel::Info))
         return;
     va_list ap;
     va_start(ap, fmt);
@@ -79,13 +91,13 @@ logInfo(const char *fmt, ...)
 void
 setQuiet(bool q)
 {
-    quietFlag = q;
+    quietFlag.store(q, std::memory_order_relaxed);
 }
 
 bool
 quiet()
 {
-    return quietFlag;
+    return quietFlag.load(std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -133,14 +145,14 @@ fatalImpl(const char *file, int line, const std::string &msg)
 void
 warnImpl(const char *file, int line, const std::string &msg)
 {
-    if (!quietFlag && logLevel() >= LogLevel::Warn)
+    if (enabled(LogLevel::Warn))
         std::fprintf(stderr, "warn: %s (%s:%d)\n", msg.c_str(), file, line);
 }
 
 void
 informImpl(const std::string &msg)
 {
-    if (logLevel() >= LogLevel::Info)
+    if (enabled(LogLevel::Info))
         std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 

@@ -57,8 +57,8 @@ enum class LogLevel {
 /**
  * Effective level: setLogLevel() if called, else REPRO_LOG_LEVEL
  * ("silent"/"warn"/"info" or 0/1/2, read once), else Info.
- * setQuiet(true) additionally caps the level at Silent for warnings
- * (its historical contract).
+ * setQuiet(true) additionally silences every sink while it is set.
+ * Both are safe to change while other threads log.
  */
 LogLevel logLevel();
 void setLogLevel(LogLevel level);
@@ -72,7 +72,10 @@ void setLogLevel(LogLevel level);
 void logWarn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 void logInfo(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Whether warn() output is suppressed (useful in noisy campaigns). */
+/**
+ * Suppress warn()/inform()/logWarn()/logInfo() output (useful in noisy
+ * campaigns); panic/fatal still print.
+ */
 void setQuiet(bool quiet);
 bool quiet();
 

@@ -90,8 +90,13 @@ ThreadPool::workerLoop(unsigned workerIndex)
             job->active.fetch_add(1, std::memory_order_relaxed);
         }
         runTasks(*job, workerIndex);
-        if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1)
+        if (job->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            // Notify under the lock: parallelFor tests `active` with
+            // mutex_ held, so an unlocked notify could land between
+            // its check and its wait and be lost, hanging the caller.
+            std::lock_guard<std::mutex> lock(mutex_);
             done_.notify_all();
+        }
     }
 }
 

@@ -1,12 +1,14 @@
 /**
- * Tests for STA and the two DTA engines, including cross-validation of
- * the levelized approximation against the exact event-driven reference.
+ * Tests for STA and the DTA engines, including cross-validation of the
+ * levelized approximation against the exact event-driven reference and
+ * of the batched compiled engine against the levelized oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include "circuit/builders.hh"
 #include "circuit/celllib.hh"
+#include "circuit/compiled_dta.hh"
 #include "circuit/dta.hh"
 #include "circuit/sta.hh"
 #include "util/bitops.hh"
@@ -336,12 +338,12 @@ packPlanes(const std::vector<std::vector<bool>> &vecs)
 
 } // namespace
 
-TEST(LaneDta, BitIdenticalToScalarLevelized)
+TEST(CompiledDta, AdderBitIdenticalToScalarLevelized)
 {
     AdderFixture f;
     DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
     LevelizedDta scalar(f.nl, annot, 1.2);
-    LaneDta lane(f.nl, annot, 1.2);
+    CompiledDta comp(f.nl, annot, 1.2);
     Rng rng(31);
     // Include a tight capture right in the arrival distribution so
     // both error and error-free lanes occur.
@@ -354,8 +356,9 @@ TEST(LaneDta, BitIdenticalToScalarLevelized)
                 curs.push_back(
                     f.inputs(rng.next() & 0xff, rng.next() & 0xff));
             }
-            const auto &batch = lane.runBatch(
-                packPlanes(prevs), packPlanes(curs), capture, 64);
+            auto cur = packPlanes(curs);
+            const auto &batch =
+                comp.runBatch(packPlanes(prevs), cur, cur, capture, 64);
             for (unsigned l = 0; l < 64; ++l) {
                 auto ref = scalar.run(prevs[l], curs[l], capture);
                 uint64_t settled = 0, captured = 0;
@@ -383,20 +386,21 @@ TEST(LaneDta, BitIdenticalToScalarLevelized)
     }
 }
 
-TEST(LaneDta, PartialBatchMatchesScalar)
+TEST(CompiledDta, AdderPartialBatchMatchesScalar)
 {
     AdderFixture f;
     DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
     LevelizedDta scalar(f.nl, annot);
-    LaneDta lane(f.nl, annot);
+    CompiledDta comp(f.nl, annot);
     Rng rng(32);
     std::vector<std::vector<bool>> prevs, curs;
     for (unsigned l = 0; l < 5; ++l) {
         prevs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
         curs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
     }
+    auto cur = packPlanes(curs);
     const auto &batch =
-        lane.runBatch(packPlanes(prevs), packPlanes(curs), 230.0, 5);
+        comp.runBatch(packPlanes(prevs), cur, cur, 230.0, 5);
     for (unsigned l = 0; l < 5; ++l) {
         auto ref = scalar.run(prevs[l], curs[l], 230.0);
         for (size_t k = 0; k < ref.settled.size(); ++k) {
@@ -412,16 +416,22 @@ TEST(LaneDta, PartialBatchMatchesScalar)
     }
 }
 
-TEST(LaneDta, EvalBatchMatchesFunctionalEvaluation)
+TEST(CompiledDta, AdderGoldenPlaneMatchesFunctionalEvaluation)
 {
+    // The golden plane is a zero-delay evaluation of its own inputs,
+    // independent of the faulty chain's transition.
     AdderFixture f;
     DelayAnnotation annot(f.nl, CellLibrary::nangate45Like(), 1);
-    LaneDta lane(f.nl, annot);
+    CompiledDta comp(f.nl, annot);
     Rng rng(33);
-    std::vector<std::vector<bool>> curs;
-    for (unsigned l = 0; l < 64; ++l)
+    std::vector<std::vector<bool>> prevs, curs;
+    for (unsigned l = 0; l < 64; ++l) {
+        prevs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
         curs.push_back(f.inputs(rng.next() & 0xff, rng.next() & 0xff));
-    const auto &out = lane.evalBatch(packPlanes(curs));
+    }
+    auto prev = packPlanes(prevs);
+    const auto &out =
+        comp.runBatch(prev, prev, packPlanes(curs), 1.0, 64).golden;
     for (unsigned l = 0; l < 64; ++l) {
         auto flat = flattenOutputs(f.nl, evaluate(f.nl, curs[l]));
         for (size_t k = 0; k < flat.size(); ++k)

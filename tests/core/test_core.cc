@@ -245,7 +245,8 @@ TEST(OptionsFromEnv, Overrides)
 TEST(OptionsFromEnv, DtaBackendParsedAndHardened)
 {
     unsetenv("REPRO_DTA_BACKEND");
-    EXPECT_EQ(optionsFromEnv().dtaBackend, circuit::DtaBackend::Lane);
+    EXPECT_EQ(optionsFromEnv().dtaBackend,
+              circuit::DtaBackend::Compiled);
 
     setenv("REPRO_DTA_BACKEND", "compiled", 1);
     EXPECT_EQ(optionsFromEnv().dtaBackend,
@@ -254,23 +255,28 @@ TEST(OptionsFromEnv, DtaBackendParsedAndHardened)
     EXPECT_EQ(optionsFromEnv().dtaBackend,
               circuit::DtaBackend::Levelized);
 
-    // Malformed values warn and keep the default instead of
-    // silently selecting some engine (PR2 env-hardening pattern).
-    setenv("REPRO_DTA_BACKEND", "jit", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend, circuit::DtaBackend::Lane);
+    // Malformed values — and the retired "lane" engine — warn and
+    // keep the default instead of silently selecting some engine.
+    for (const char *junk : {"jit", "lane"}) {
+        setenv("REPRO_DTA_BACKEND", junk, 1);
+        EXPECT_EQ(optionsFromEnv().dtaBackend,
+                  circuit::DtaBackend::Compiled)
+            << junk;
+    }
     unsetenv("REPRO_DTA_BACKEND");
 }
 
 TEST(Toolflow, CtorAppliesDtaBackendOption)
 {
-    circuit::resetDtaBackend();
+    // The backend lands on the toolflow's own core: two toolflows in
+    // one process keep independent engines.
     ToolflowOptions opt;
     opt.cacheDir.clear();
+    opt.dtaBackend = circuit::DtaBackend::Levelized;
+    Toolflow oracle(opt);
     opt.dtaBackend = circuit::DtaBackend::Compiled;
-    {
-        Toolflow tf(opt);
-        EXPECT_EQ(circuit::dtaBackend(),
-                  circuit::DtaBackend::Compiled);
-    }
-    circuit::resetDtaBackend();
+    Toolflow fast(opt);
+    EXPECT_EQ(oracle.fpuCore().dtaBackend(),
+              circuit::DtaBackend::Levelized);
+    EXPECT_EQ(fast.fpuCore().dtaBackend(), circuit::DtaBackend::Compiled);
 }

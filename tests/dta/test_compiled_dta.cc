@@ -7,7 +7,7 @@
  * contract) dynamic arrivals — on randomized DAGs over the full cell
  * library, at every lane width from 1 to 512, at every compiled ISA
  * level, and through whole campaigns across backend x lane-width x
- * thread-count. Also pins the REPRO_DTA_BACKEND knob semantics.
+ * thread-count. Also pins the backend knob semantics.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 
 #include "circuit/celllib.hh"
 #include "circuit/compiled_dta.hh"
-#include "circuit/dta.hh"
 #include "circuit/netlist.hh"
 #include "fpu/fpu_core.hh"
 #include "timing/ber_csv.hh"
@@ -398,17 +397,17 @@ TEST(CompiledDta, CampaignInvariantAcrossBackendLanesThreads)
 
     auto run = [&](DtaBackend backend, unsigned lanes,
                    unsigned threads) {
-        setDtaBackend(backend);
-        setDtaLanes(lanes);
+        c.setDtaBackend(backend);
         ThreadPool pool(threads);
         Rng rng(42);
-        auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool);
-        setDtaLanes(0);
-        resetDtaBackend();
+        auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool,
+                                       nullptr, lanes);
+        c.setDtaBackend(DtaBackend::Compiled);
         return stats;
     };
 
-    auto ref = run(DtaBackend::Lane, 64, 1);
+    // Reference: the levelized oracle, one op at a time.
+    auto ref = run(DtaBackend::Levelized, 1, 1);
     EXPECT_EQ(ref.totalOps(), kPerOp * fpu::kNumFpuOps);
     EXPECT_GT(ref.totalFaulty(), 0u);
 
@@ -418,7 +417,7 @@ TEST(CompiledDta, CampaignInvariantAcrossBackendLanesThreads)
         unsigned lanes, threads;
     };
     for (Config cfg : {Config{DtaBackend::Levelized, 64, 1},
-                       Config{DtaBackend::Lane, 64, 2},
+                       Config{DtaBackend::Levelized, 64, 2},
                        Config{DtaBackend::Compiled, 64, 1},
                        Config{DtaBackend::Compiled, 256, 1},
                        Config{DtaBackend::Compiled, 512, 1},
@@ -441,13 +440,8 @@ TEST(CompiledDta, PortableFallbackCampaignCsvIdentical)
     size_t pt = vr20Point();
 
     auto run = [&] {
-        setDtaBackend(DtaBackend::Compiled);
-        setDtaLanes(CompiledDta::kMaxLanes);
         Rng rng(44);
-        auto stats = runRandomCampaign(c, pt, kDtaShardOps, rng);
-        setDtaLanes(0);
-        resetDtaBackend();
-        return stats;
+        return runRandomCampaign(c, pt, kDtaShardOps, rng);
     };
 
     simd::resetActiveIsa(); // best level the build + CPU support
@@ -463,58 +457,70 @@ TEST(CompiledDta, PortableFallbackCampaignCsvIdentical)
 
 TEST(DtaBackendKnob, ParseNamesAndRejectJunk)
 {
-    DtaBackend b = DtaBackend::Lane;
+    DtaBackend b = DtaBackend::Compiled;
     EXPECT_TRUE(parseDtaBackend("levelized", b));
     EXPECT_EQ(b, DtaBackend::Levelized);
-    EXPECT_TRUE(parseDtaBackend("lane", b));
-    EXPECT_EQ(b, DtaBackend::Lane);
     EXPECT_TRUE(parseDtaBackend("compiled", b));
     EXPECT_EQ(b, DtaBackend::Compiled);
 
     b = DtaBackend::Compiled;
+    EXPECT_FALSE(parseDtaBackend("lane", b)); // the retired engine
     EXPECT_FALSE(parseDtaBackend("jit", b));
     EXPECT_FALSE(parseDtaBackend("", b));
-    EXPECT_FALSE(parseDtaBackend("Lane ", b));
+    EXPECT_FALSE(parseDtaBackend("compiled ", b));
     EXPECT_EQ(b, DtaBackend::Compiled); // junk leaves out untouched
 
     EXPECT_STREQ(dtaBackendName(DtaBackend::Levelized), "levelized");
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Lane), "lane");
     EXPECT_STREQ(dtaBackendName(DtaBackend::Compiled), "compiled");
 }
 
-TEST(DtaBackendKnob, EnvResolvesLazilyAndHardensJunk)
+TEST(DtaBackendKnob, PersistedValuesAreStableAndValidated)
 {
-    setenv("REPRO_DTA_BACKEND", "compiled", 1);
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Compiled);
-
-    // Malformed values warn and keep the default engine.
-    setenv("REPRO_DTA_BACKEND", "turbo", 1);
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Lane);
-
-    unsetenv("REPRO_DTA_BACKEND");
-    resetDtaBackend();
-    EXPECT_EQ(dtaBackend(), DtaBackend::Lane);
-
-    // setDtaBackend overrides whatever the env said.
-    setDtaBackend(DtaBackend::Levelized);
-    EXPECT_EQ(dtaBackend(), DtaBackend::Levelized);
-    resetDtaBackend();
+    // Fleet plans persist the numeric value: 0 and 2 keep their
+    // meaning, and the retired 1 (or anything else) is refused.
+    EXPECT_EQ(static_cast<int>(DtaBackend::Levelized), 0);
+    EXPECT_EQ(static_cast<int>(DtaBackend::Compiled), 2);
+    DtaBackend b = DtaBackend::Compiled;
+    EXPECT_TRUE(dtaBackendFromInt(0, b));
+    EXPECT_EQ(b, DtaBackend::Levelized);
+    EXPECT_TRUE(dtaBackendFromInt(2, b));
+    EXPECT_EQ(b, DtaBackend::Compiled);
+    for (long long junk : {1LL, -1LL, 3LL, 1LL << 40})
+        EXPECT_FALSE(dtaBackendFromInt(junk, b)) << junk;
+    EXPECT_EQ(b, DtaBackend::Compiled);
 }
 
-TEST(DtaBackendKnob, LaneCeilingTracksBackend)
+TEST(DtaBackendKnob, BackendIsPerCoreAndDefaultsToCompiled)
 {
-    // The lane ceiling is the active engine's: 64 for the default
-    // interpreter, 512 once the compiled backend is selected.
-    setDtaBackend(DtaBackend::Lane);
-    setDtaLanes(512);
-    EXPECT_EQ(dtaLanes(), LaneDta::kMaxLanes);
-    setDtaBackend(DtaBackend::Compiled);
-    setDtaLanes(512);
-    EXPECT_EQ(dtaLanes(), 512u);
-    setDtaLanes(4096); // above even the compiled ceiling
-    EXPECT_EQ(dtaLanes(), CompiledDta::kMaxLanes);
-    setDtaLanes(0);
-    resetDtaBackend();
+    // The choice lives on the core, so two cores in one process (two
+    // daemon campaigns) never see each other's setting.
+    fpu::FpuCore a, b;
+    EXPECT_EQ(a.dtaBackend(), DtaBackend::Compiled);
+    a.setDtaBackend(DtaBackend::Levelized);
+    EXPECT_EQ(a.dtaBackend(), DtaBackend::Levelized);
+    EXPECT_EQ(b.dtaBackend(), DtaBackend::Compiled);
+}
+
+TEST(DtaBackendKnob, FullWidthOnEveryBackendInOneProcess)
+{
+    // Regression: the batch width used to be a process-global cached
+    // against whichever backend was active first, so a full-width
+    // campaign followed by a backend switch handed the new engine a
+    // width above its ceiling. Width is now a per-call argument with
+    // one ceiling, and every order of backends runs to completion.
+    auto &c = core();
+    size_t pt = vr20Point();
+    auto run = [&](DtaBackend backend) {
+        c.setDtaBackend(backend);
+        Rng rng(47);
+        auto stats = runRandomCampaign(c, pt, kDtaShardOps, rng, nullptr,
+                                       nullptr, CompiledDta::kMaxLanes);
+        c.setDtaBackend(DtaBackend::Compiled);
+        return stats;
+    };
+    auto first = run(DtaBackend::Compiled);
+    expectIdenticalStats(run(DtaBackend::Levelized), first,
+                         "levelized after compiled");
+    expectIdenticalStats(run(DtaBackend::Compiled), first,
+                         "compiled after levelized");
 }

@@ -1,7 +1,7 @@
 /**
  * Cross-engine DTA equivalence suite (ctest label tier1dta).
  *
- * The contract under test: the bit-parallel lane engine, the scalar
+ * The contract under test: the batched compiled engine, the scalar
  * levelized engine, and the exact event-driven reference agree where
  * they must — and campaigns produce bit-identical statistics at every
  * lane width and thread count. Also pins the float->double arrival
@@ -17,6 +17,7 @@
 
 #include "circuit/builders.hh"
 #include "circuit/celllib.hh"
+#include "circuit/compiled_dta.hh"
 #include "circuit/dta.hh"
 #include "fpu/fpu_core.hh"
 #include "timing/ber_csv.hh"
@@ -100,7 +101,7 @@ TEST(DtaEquivalence, EnginesAgreeOnSettledValues)
     DelayAnnotation annot(nl, CellLibrary::nangate45Like(), 1);
     EventDrivenDta exact(nl, annot, 1.3);
     LevelizedDta lev(nl, annot, 1.3);
-    LaneDta lane(nl, annot, 1.3);
+    CompiledDta comp(nl, annot, 1.3);
 
     Rng rng(40);
     for (int round = 0; round < 32; ++round) {
@@ -116,7 +117,7 @@ TEST(DtaEquivalence, EnginesAgreeOnSettledValues)
             pp[i] = prev[i] ? 1 : 0;
             cp[i] = cur[i] ? 1 : 0;
         }
-        const auto &rb = lane.runBatch(pp, cp, 1e9, 1);
+        const auto &rb = comp.runBatch(pp, cp, cp, 1e9, 1);
         for (size_t k = 0; k < re.settled.size(); ++k) {
             ASSERT_EQ(rl.settled[k], re.settled[k]);
             ASSERT_EQ(rb.settled[k] & 1, uint64_t{re.settled[k]});
@@ -137,7 +138,7 @@ TEST(DtaEquivalence, DeepChainArrivalMatchesExactReference)
     DelayAnnotation annot(nl, CellLibrary::nangate45Like(), 1);
     EventDrivenDta exact(nl, annot, 1.1);
     LevelizedDta lev(nl, annot, 1.1);
-    LaneDta lane(nl, annot, 1.1);
+    CompiledDta comp(nl, annot, 1.1);
 
     std::vector<bool> prev{false}, cur{true};
     auto re = exact.run(prev, cur, 1e12);
@@ -146,10 +147,10 @@ TEST(DtaEquivalence, DeepChainArrivalMatchesExactReference)
     EXPECT_DOUBLE_EQ(rl.maxArrivalPs, re.maxArrivalPs);
     // A capture edge inside the last gate delay separates float from
     // double: classify against the exact arrival. Here the chain is
-    // capture-risky, so the lane engine's arrival is exact too.
+    // capture-risky, so the compiled engine's arrival is exact too.
     double edge = re.maxArrivalPs - 1e-9;
     auto rl2 = lev.run(prev, cur, edge);
-    const auto &rb2 = lane.runBatch({0}, {1}, edge, 1);
+    const auto &rb2 = comp.runBatch({0}, {1}, {1}, edge, 1);
     EXPECT_NE(rl2.captured[0], rl2.settled[0]);
     EXPECT_EQ((rb2.captured[0] ^ rb2.settled[0]) & 1, 1u);
     EXPECT_DOUBLE_EQ(rb2.maxArrivalPs[0], re.maxArrivalPs);
@@ -176,6 +177,7 @@ TEST(DtaEquivalence, ExecuteBatchMatchesSequentialExecute)
     // boundary must continue the pipeline history exactly.
     c.reset(pt);
     std::vector<fpu::FpuCore::Exec> got(kOps);
+    const std::vector<FpuOp> mulOps(64, FpuOp::MulD);
     unsigned i = 0;
     for (unsigned seg : {5u, 64u, 3u, 64u, 17u, 64u, 2u, 64u, 29u, 64u,
                          64u, 64u, 64u, 32u}) {
@@ -184,8 +186,8 @@ TEST(DtaEquivalence, ExecuteBatchMatchesSequentialExecute)
             for (unsigned k = 0; k < seg; ++k)
                 got[i + k] = c.execute(pt, FpuOp::MulD, a[i + k], b[i + k]);
         } else {
-            c.executeBatch(pt, FpuOp::MulD, a.data() + i, b.data() + i,
-                           seg, got.data() + i);
+            c.executeBatch(pt, mulOps.data(), a.data() + i,
+                           b.data() + i, seg, got.data() + i);
         }
         i += seg;
     }
@@ -213,21 +215,51 @@ TEST(DtaEquivalence, ExecuteBatchMatchesSequentialExecute)
     EXPECT_GT(faulty, 0u);
 }
 
+TEST(DtaEquivalence, ExecuteBatchMixedAddSubMatchesSequentialExecute)
+{
+    // add.d and sub.d share one unit: a batch may interleave them lane
+    // by lane, and the per-lane sub bit must reproduce the scalar
+    // stream — history included — exactly.
+    auto &c = core();
+    size_t pt = vr20Point();
+    constexpr unsigned kOps = 130; // two full words plus a partial one
+
+    Rng rng(45);
+    std::vector<FpuOp> ops(kOps);
+    std::vector<uint64_t> a(kOps), b(kOps);
+    for (unsigned i = 0; i < kOps; ++i) {
+        ops[i] = (rng.next() & 1) ? FpuOp::SubD : FpuOp::AddD;
+        randomOperands(ops[i], rng, a[i], b[i]);
+    }
+    c.reset(pt);
+    std::vector<fpu::FpuCore::Exec> ref;
+    for (unsigned i = 0; i < kOps; ++i)
+        ref.push_back(c.execute(pt, ops[i], a[i], b[i]));
+    c.reset(pt);
+    std::vector<fpu::FpuCore::Exec> got(kOps);
+    c.executeBatch(pt, ops.data(), a.data(), b.data(), kOps,
+                   got.data());
+    for (unsigned k = 0; k < kOps; ++k) {
+        ASSERT_EQ(got[k].golden, ref[k].golden) << "op " << k;
+        ASSERT_EQ(got[k].faulty, ref[k].faulty) << "op " << k;
+        ASSERT_EQ(got[k].goldenFlags, ref[k].goldenFlags) << "op " << k;
+        ASSERT_EQ(got[k].faultyFlags, ref[k].faultyFlags) << "op " << k;
+    }
+}
+
 TEST(DtaEquivalence, RandomCampaignInvariantAcrossLanesAndThreads)
 {
     auto &c = core();
     size_t pt = vr20Point();
-    // 160 ops/type: two full 64-lane blocks plus a 32-op scalar
-    // remainder per shard, so both paths run.
+    // 160 ops/type: two full 64-lane blocks plus a 32-op partial block
+    // per shard, so both block widths run.
     constexpr uint64_t kPerOp = 160;
 
     auto run = [&](unsigned lanes, unsigned threads) {
-        setDtaLanes(lanes);
         ThreadPool pool(threads);
         Rng rng(42);
-        auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool);
-        setDtaLanes(0); // back to REPRO_DTA_LANES
-        return stats;
+        return runRandomCampaign(c, pt, kPerOp, rng, &pool, nullptr,
+                                 lanes);
     };
 
     auto ref = run(1, 1);
@@ -238,7 +270,8 @@ TEST(DtaEquivalence, RandomCampaignInvariantAcrossLanesAndThreads)
     {
         unsigned lanes, threads;
     };
-    for (Config cfg : {Config{64, 1}, Config{16, 3}, Config{64, 2}}) {
+    for (Config cfg : {Config{64, 1}, Config{16, 3}, Config{64, 2},
+                       Config{512, 2}}) {
         auto got = run(cfg.lanes, cfg.threads);
         char what[64];
         std::snprintf(what, sizeof(what), "lanes=%u threads=%u",
@@ -252,9 +285,9 @@ TEST(DtaEquivalence, TraceCampaignInvariantWithMixedOpRuns)
     auto &c = core();
     size_t pt = vr20Point();
 
-    // Mixed-op trace: long MulD runs (lane blocks) broken by short
-    // AddD/SubD bursts (scalar fallback — a run shorter than the lane
-    // width never forms a block).
+    // Mixed-op trace: long MulD runs broken by short AddD/SubD bursts.
+    // Batches form per unit, so the bursts batch together across the
+    // MulD runs.
     std::vector<sim::FpTraceEntry> trace;
     Rng rng(43);
     auto push = [&](FpuOp op, unsigned n) {
@@ -271,11 +304,9 @@ TEST(DtaEquivalence, TraceCampaignInvariantWithMixedOpRuns)
     }
 
     auto run = [&](unsigned lanes, unsigned threads) {
-        setDtaLanes(lanes);
         ThreadPool pool(threads);
-        auto stats = runTraceCampaign(c, pt, trace, trace.size(), &pool);
-        setDtaLanes(0);
-        return stats;
+        return runTraceCampaign(c, pt, trace, trace.size(), &pool,
+                                nullptr, lanes);
     };
 
     auto ref = run(1, 1);
@@ -348,14 +379,105 @@ TEST(DtaReservoir, SealLoadedPoolPreservesOrder)
     EXPECT_EQ(s.maskKeys, (std::vector<uint64_t>{0, 1, 2}));
 }
 
-TEST(DtaLanes, EnvOverrideClampsAndRestores)
+TEST(DtaLanes, OutOfRangeWidthsClampToEngineRange)
 {
-    setDtaLanes(200); // clamped to the engine maximum
-    EXPECT_EQ(dtaLanes(), LaneDta::kMaxLanes);
-    setDtaLanes(7);
-    EXPECT_EQ(dtaLanes(), 7u);
-    setDtaLanes(0); // back to the environment default
-    unsigned v = dtaLanes();
-    EXPECT_GE(v, 1u);
-    EXPECT_LE(v, LaneDta::kMaxLanes);
+    // The width is a per-call argument: 0 means one lane, anything
+    // above the engine ceiling means the ceiling — never a panic.
+    auto &c = core();
+    size_t pt = vr20Point();
+    auto run = [&](unsigned lanes) {
+        Rng rng(46);
+        return runRandomCampaign(c, pt, 64, rng, nullptr, nullptr,
+                                 lanes);
+    };
+    expectIdenticalStats(run(0), run(1), "lanes=0 vs 1");
+    expectIdenticalStats(run(4096), run(kMaxDtaLanes),
+                         "lanes=4096 vs max");
+}
+
+namespace {
+
+/**
+ * Interleaved multi-unit trace over two replay windows (ops 0..511
+ * and 512..899): add.d/sub.d alternating on their shared unit (and
+ * add.s/sub.s on theirs), mixed with mul, div and conversions. Window
+ * 0 holds exactly one div.s and no i2f.s, window 1 exactly one i2f.s
+ * and no div.s — so every window has a unit with zero ops and a unit
+ * with a single op.
+ */
+std::vector<sim::FpTraceEntry>
+interleavedTrace()
+{
+    static constexpr FpuOp kMix[] = {
+        FpuOp::AddD, FpuOp::MulD, FpuOp::DivD, FpuOp::I2FD,
+        FpuOp::F2ID, FpuOp::AddS, FpuOp::MulS, FpuOp::F2IS,
+    };
+    std::vector<sim::FpTraceEntry> trace;
+    Rng rng(48);
+    bool subD = false, subS = false;
+    for (unsigned i = 0; i < 900; ++i) {
+        FpuOp op = kMix[rng.nextBounded(std::size(kMix))];
+        if (op == FpuOp::AddD && (subD = !subD))
+            op = FpuOp::SubD;
+        if (op == FpuOp::AddS && (subS = !subS))
+            op = FpuOp::SubS;
+        if (i == 100)
+            op = FpuOp::DivS;
+        if (i == 700)
+            op = FpuOp::I2FS;
+        uint64_t a, b;
+        randomOperands(op, rng, a, b);
+        trace.push_back({op, a, b});
+    }
+    return trace;
+}
+
+} // namespace
+
+TEST(DtaUnitGrouping, InterleavedTraceMatchesScalarOracle)
+{
+    // Replay grouped by unit, at every batch width and thread count,
+    // must equal the levelized oracle run one op at a time — for both
+    // the fixed and the adaptive trace campaign.
+    auto &c = core();
+    size_t pt = vr20Point();
+    const auto trace = interleavedTrace();
+    // A target tight enough that the adaptive campaign consumes both
+    // windows in rounds rather than converging on the first.
+    stats::PlannerConfig cfg;
+    cfg.ciTarget = 0.001;
+    cfg.maxPerStratum = trace.size();
+
+    auto run = [&](circuit::DtaBackend backend, unsigned lanes,
+                   unsigned threads, bool adaptive) {
+        c.setDtaBackend(backend);
+        ThreadPool pool(threads);
+        auto stats =
+            adaptive ? runAdaptiveTraceCampaign(c, pt, trace,
+                                                trace.size(), cfg, &pool,
+                                                nullptr, lanes)
+                     : runTraceCampaign(c, pt, trace, trace.size(),
+                                        &pool, nullptr, lanes);
+        c.setDtaBackend(circuit::DtaBackend::Compiled);
+        return stats;
+    };
+
+    for (bool adaptive : {false, true}) {
+        auto ref = run(circuit::DtaBackend::Levelized, 1, 1, adaptive);
+        EXPECT_EQ(ref.totalOps(), trace.size());
+        EXPECT_GT(ref.totalFaulty(), 0u);
+        for (unsigned lanes : {1u, 2u, 3u, 63u, 64u, 65u, 512u}) {
+            for (unsigned threads : {1u, 2u}) {
+                char what[64];
+                std::snprintf(what, sizeof(what),
+                              "%s lanes=%u threads=%u",
+                              adaptive ? "adaptive" : "fixed", lanes,
+                              threads);
+                expectIdenticalStats(
+                    run(circuit::DtaBackend::Compiled, lanes, threads,
+                        adaptive),
+                    ref, what);
+            }
+        }
+    }
 }

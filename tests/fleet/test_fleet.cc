@@ -228,6 +228,27 @@ TEST(FleetFormats, PlanRoundTripIsExact)
     EXPECT_EQ(parsed->leaseMs, 777);
 }
 
+TEST(FleetFormats, PlanRejectsUnknownDtaBackend)
+{
+    FleetPlan plan;
+    plan.opt = tinyOptions("/tmp/cache");
+    plan.spec = tinySpec();
+    for (auto backend : {circuit::DtaBackend::Levelized,
+                         circuit::DtaBackend::Compiled}) {
+        plan.opt.dtaBackend = backend;
+        auto parsed = FleetPlan::parse(plan.serialize());
+        ASSERT_TRUE(parsed.has_value());
+        EXPECT_EQ(parsed->opt.dtaBackend, backend);
+    }
+    // The retired engine's value 1, or any other, is a malformed plan
+    // — a clean parse failure, never an out-of-range enum.
+    for (int junk : {1, 3, -1}) {
+        plan.opt.dtaBackend = static_cast<circuit::DtaBackend>(junk);
+        EXPECT_FALSE(FleetPlan::parse(plan.serialize()).has_value())
+            << junk;
+    }
+}
+
 TEST(FleetFormats, UnitResultRoundTrip)
 {
     UnitResult r;
@@ -343,6 +364,52 @@ TEST(FleetQueue, RepublishRejectsStaleCampaignState)
     ASSERT_TRUE(reloaded.has_value());
     EXPECT_EQ(reloaded->kind, WorkUnit::Kind::Range);
     EXPECT_EQ(reloaded->hi, 3u);
+    fs::remove_all(dir);
+}
+
+TEST(FleetQueue, DtaEngineIsNotPartOfCampaignIdentity)
+{
+    std::string dir = "/tmp/tea_fleet_test_engine";
+    fs::remove_all(dir);
+    WorkQueue q(dir);
+    FleetPlan plan{tinyOptions(dir), tinySpec()};
+    plan.opt.dtaBackend = circuit::DtaBackend::Levelized;
+    FleetPlan compiled = plan;
+    compiled.opt.dtaBackend = circuit::DtaBackend::Compiled;
+    EXPECT_EQ(spoolNamespace(plan), spoolNamespace(compiled));
+    EXPECT_EQ(planIdentity(plan.serialize()),
+              planIdentity(compiled.serialize()));
+    FleetPlan reseeded = plan;
+    reseeded.opt.seed += 1;
+    EXPECT_NE(spoolNamespace(plan), spoolNamespace(reseeded));
+
+    WorkUnit u0;
+    u0.id = 0;
+    UnitResult done;
+    done.unit = 0;
+    done.result.runs = 6;
+    ASSERT_TRUE(q.publish(plan, {u0}));
+    ASSERT_TRUE(q.markDone(done));
+
+    // Switching engines resumes the spool: results are identical.
+    ASSERT_TRUE(q.publish(compiled, {u0}));
+    EXPECT_TRUE(q.isDone(0));
+    auto loaded = q.loadPlan();
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(loaded->opt.dtaBackend, circuit::DtaBackend::Compiled);
+
+    // So does a plan file naming the retired engine (value 1), which
+    // no longer parses: the identity check never parses it, and the
+    // publish replaces it with a plan workers can load.
+    std::string body = *unsealBody(compiled.serialize());
+    size_t at = body.find("dtabackend 2\n");
+    ASSERT_NE(at, std::string::npos);
+    body.replace(at, 13, "dtabackend 1\n");
+    ASSERT_TRUE(atomicWriteFile(q.planPath(), sealBody(body)));
+    ASSERT_FALSE(q.loadPlan().has_value());
+    ASSERT_TRUE(q.publish(compiled, {u0}));
+    EXPECT_TRUE(q.isDone(0));
+    EXPECT_TRUE(q.loadPlan().has_value());
     fs::remove_all(dir);
 }
 

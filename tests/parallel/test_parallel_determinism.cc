@@ -103,6 +103,22 @@ TEST(ThreadPool, EmptyRangeAndReuse)
     EXPECT_EQ(sum.load(), 50u * 45u);
 }
 
+TEST(ThreadPool, BackToBackTinyJobsNeverHang)
+{
+    // Regression: the last worker out of a job used to signal
+    // completion without the pool mutex, so the wakeup could land
+    // between the caller's predicate check and its wait — a lost
+    // wakeup that hung parallelFor within a few thousand tiny jobs.
+    ThreadPool pool(4);
+    std::atomic<uint64_t> sum{0};
+    constexpr int kJobs = 20000;
+    for (int it = 0; it < kJobs; ++it)
+        pool.parallelFor(0, 3, [&](uint64_t i, unsigned) {
+            sum.fetch_add(i, std::memory_order_relaxed);
+        });
+    EXPECT_EQ(sum.load(), uint64_t{3} * kJobs);
+}
+
 TEST(ThreadPool, ParallelMapCollectsInOrder)
 {
     ThreadPool pool(3);

@@ -324,6 +324,25 @@ TEST(ServiceScheduler, DedupAttachesIdenticalPlans)
     fs::remove_all(dir);
 }
 
+TEST(ServiceScheduler, UnknownDtaBackendIsBadRequest)
+{
+    std::string dir = "/tmp/tea_svc_test_backend";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    Scheduler sched(schedulerOptions(dir));
+    sched.setPaused(true);
+    fleet::FleetPlan plan = tinyPlan(dir);
+    // 1 was the retired lane engine; it must be rejected at admission
+    // like any other malformed plan.
+    for (int junk : {1, 5}) {
+        plan.opt.dtaBackend = static_cast<circuit::DtaBackend>(junk);
+        auto r = sched.submit(plan.serialize(), "alice");
+        EXPECT_FALSE(r.accepted) << junk;
+        EXPECT_EQ(r.rej.code, service::ErrorCode::BadRequest) << junk;
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ServiceScheduler, BackpressureRejectsButNeverDrops)
 {
     std::string dir = "/tmp/tea_svc_test_backpressure";

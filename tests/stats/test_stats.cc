@@ -479,12 +479,11 @@ TEST(AdaptiveDta, RandomCampaignBitIdenticalAcrossThreadsAndLanes)
     timing::CampaignStats ref;
     bool first = true;
     for (unsigned threads : {1u, 3u}) {
-        for (unsigned lanes : {1u, 64u}) {
-            timing::setDtaLanes(lanes);
+        for (unsigned lanes : {1u, 64u, 512u}) {
             ThreadPool pool(threads);
             Rng rng(42);
             auto s = timing::runAdaptiveRandomCampaign(
-                core(), vr20Point(), cfg, rng, &pool);
+                core(), vr20Point(), cfg, rng, &pool, nullptr, lanes);
             if (first) {
                 ref = std::move(s);
                 first = false;
@@ -493,7 +492,6 @@ TEST(AdaptiveDta, RandomCampaignBitIdenticalAcrossThreadsAndLanes)
             }
         }
     }
-    timing::setDtaLanes(0);
     EXPECT_GT(ref.totalOps(), 0u);
     EXPECT_EQ(ref.engineFaults, 0u);
 }
