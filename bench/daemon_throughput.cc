@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hh"
@@ -59,6 +60,20 @@ benchPlan(const std::string &cacheDir, uint64_t seed)
     return fleet::FleetPlan{benchOptions(cacheDir, seed), spec};
 }
 
+constexpr int kConcurrency[] = {1, 2, 4};
+constexpr uint64_t kDedupSeed = 999;
+
+/**
+ * Seed of campaign `i` on the rung at concurrency `conc`. Distinct per
+ * rung so every campaign re-executes its cells instead of loading a
+ * cached grid.
+ */
+uint64_t
+ladderSeed(int conc, int i)
+{
+    return 100 * static_cast<uint64_t>(conc) + static_cast<uint64_t>(i);
+}
+
 } // namespace
 
 int
@@ -73,19 +88,30 @@ main(int argc, char **argv)
     std::string cacheDir = std::getenv("REPRO_CACHE")
                                ? std::getenv("REPRO_CACHE")
                                : "/tmp/tea_bench_daemon_cache";
-    std::string sock = "/tmp/tea_bench_daemon.sock";
+    // The socket lives in the cache dir, next to everything else the
+    // ladder writes.
+    std::string sock = cacheDir + "/daemon.sock";
     const int campaigns = 4;
 
-    // Warm the characterization caches once so the ladder times
-    // campaign scheduling and execution, not gate-level simulation.
+    // Warm the characterization caches of every seed the ladder and
+    // the dedup fan-out submit (cache files are per seed), so they
+    // time campaign scheduling and execution, not gate-level
+    // simulation. The warm grids are not cached, and a grid an earlier
+    // ladder run cached is dropped, so the timed campaigns still
+    // execute their cells.
     std::filesystem::create_directories(cacheDir);
+    std::vector<uint64_t> warmSeeds{kDedupSeed};
+    for (int conc : kConcurrency)
+        for (int i = 0; i < campaigns; ++i)
+            warmSeeds.push_back(ladderSeed(conc, i));
     setQuiet(true);
-    {
-        fleet::FleetPlan warm = benchPlan(cacheDir, 1);
+    for (uint64_t seed : warmSeeds) {
+        fleet::FleetPlan warm = benchPlan(cacheDir, seed);
         Toolflow tf(warm.opt);
         GridSpec spec = warm.spec;
         spec.useCache = false;
         runEvaluationGrid(tf, spec);
+        std::filesystem::remove(gridCachePath(warm.opt));
     }
     setQuiet(false);
 
@@ -125,10 +151,7 @@ main(int argc, char **argv)
         {"concurrency", "seconds", "campaigns/s", "speedup"});
     obs::json::Array rows;
     double oneSec = 0;
-    for (int conc : {1, 2, 4}) {
-        // Distinct seeds per rung so every campaign re-executes its
-        // cells instead of loading a cached grid.
-        uint64_t seedBase = 100 * conc;
+    for (int conc : kConcurrency) {
         DaemonOptions opt;
         opt.socketPath = sock;
         opt.cacheDir = cacheDir;
@@ -149,7 +172,7 @@ main(int argc, char **argv)
         for (int i = 0; i < campaigns; ++i) {
             Client::Submitted sub;
             if (!client->submit(
-                    benchPlan(cacheDir, seedBase + i).serialize(),
+                    benchPlan(cacheDir, ladderSeed(conc, i)).serialize(),
                     sub)) {
                 setQuiet(false);
                 std::printf("daemon_throughput: submit failed: %s\n",
@@ -194,7 +217,7 @@ main(int argc, char **argv)
         if (!daemon.start())
             return 2;
         setQuiet(true);
-        std::string plan = benchPlan(cacheDir, 999).serialize();
+        std::string plan = benchPlan(cacheDir, kDedupSeed).serialize();
         const int watchers = 4;
         std::vector<Client> clients;
         std::vector<uint64_t> ids;
@@ -233,6 +256,8 @@ main(int argc, char **argv)
         obs::json::Object report{
             {"schema", "tea-bench-daemon-v1"},
             {"git", obs::gitDescribe()},
+            {"nproc",
+             static_cast<int64_t>(std::thread::hardware_concurrency())},
             {"statusReqPerSec", reqPerSec},
             {"campaignsPerRung", static_cast<int64_t>(campaigns)},
             {"ladder", std::move(rows)},

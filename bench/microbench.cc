@@ -52,6 +52,7 @@
 #include "obs/obs.hh"
 #include "fpu/fpu_core.hh"
 #include "inject/campaign.hh"
+#include "mc/mc_sim.hh"
 #include "sim/func_sim.hh"
 #include "sim/ooo_sim.hh"
 #include "softfloat/softfloat.hh"
@@ -201,10 +202,11 @@ BM_FuncSimSobel(benchmark::State &state)
 }
 BENCHMARK(BM_FuncSimSobel);
 
+/** Golden OoO runs of one workload; committed instructions per second. */
 static void
-BM_OooSimSobel(benchmark::State &state)
+BM_OooSim(benchmark::State &state, const char *workload)
 {
-    auto w = workloads::buildWorkload("sobel", 1);
+    auto w = workloads::buildWorkload(workload, 1);
     uint64_t instr = 0;
     for (auto _ : state) {
         sim::OooSim sim(w.program);
@@ -216,7 +218,59 @@ BM_OooSimSobel(benchmark::State &state)
         static_cast<double>(instr) * state.iterations(),
         benchmark::Counter::kIsRate);
 }
+
+static void
+BM_OooSimSobel(benchmark::State &state)
+{
+    BM_OooSim(state, "sobel");
+}
 BENCHMARK(BM_OooSimSobel);
+
+static void
+BM_OooSimMg(benchmark::State &state)
+{
+    BM_OooSim(state, "mg");
+}
+BENCHMARK(BM_OooSimMg)->Unit(benchmark::kMillisecond);
+
+// The other five workloads, for the per-workload table in EXPERIMENTS.md.
+BENCHMARK_CAPTURE(BM_OooSim, cg, "cg")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OooSim, kmeans, "k-means")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OooSim, srad, "srad_v1")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OooSim, hotspot, "hotspot")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_OooSim, is, "is")->Unit(benchmark::kMillisecond);
+
+/** Golden 2-core McSim runs; instructions committed over all cores. */
+static void
+BM_McSim(benchmark::State &state, const char *workload)
+{
+    auto w = workloads::buildWorkload(workload, 1);
+    mc::McConfig cfg;
+    cfg.cores = 2;
+    uint64_t instr = 0;
+    for (auto _ : state) {
+        mc::McSim sim(w.program, cfg);
+        auto r = sim.run(~0ULL);
+        instr = r.committed;
+        benchmark::DoNotOptimize(r);
+    }
+    state.counters["instr/s"] = benchmark::Counter(
+        static_cast<double>(instr) * state.iterations(),
+        benchmark::Counter::kIsRate);
+}
+
+static void
+BM_McSimKmeansMt(benchmark::State &state)
+{
+    BM_McSim(state, "k-means-mt");
+}
+BENCHMARK(BM_McSimKmeansMt)->Unit(benchmark::kMillisecond);
+
+BENCHMARK_CAPTURE(BM_McSim, hotspotMt, "hotspot-mt")
+    ->Unit(benchmark::kMillisecond);
 
 namespace {
 

@@ -86,4 +86,15 @@ if ! (cd "$root/build-san" && \
     echo "ci: multi-core determinism gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core green)"
+# Cycle-exactness gate, likewise named: the OoO core's golden-run,
+# N-core and seeded-injection statistics pinned to the original
+# pipeline's constants (DESIGN.md §16), plus the machine-shape cases,
+# under both the sanitizer build and the regular build.
+echo "=== ci: cycle-exactness gate (ctest -L tier1sim) ==="
+if ! (cd "$root/build-san" && \
+      ASAN_OPTIONS="detect_leaks=0" ctest -L tier1sim --output-on-failure) \
+   || ! (cd "$root/build" && ctest -L tier1sim --output-on-failure); then
+    echo "ci: cycle-exactness gate FAILED"
+    exit 1
+fi
+echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core + cycle-exactness green)"

@@ -18,18 +18,89 @@ CorePipeline::CorePipeline(const isa::Program &prog, const OooConfig &cfg,
                            unsigned coreId)
     : prog_(prog), cfg_(cfg), plan_(std::move(plan)), port_(port),
       coreId_(coreId), coreMask_(1u << (coreId & 31)),
-      rob_(cfg.robSize), fetchIdx_(prog.entryIndex)
+      rob_(cfg.robSize), busy_((cfg.robSize + 63) / 64),
+      ready_(busy_.size()), parked_(busy_.size()),
+      waiters_(cfg.robSize),
+      fetchIdx_(prog.entryIndex)
 {
+    // In-flight stores never exceed min(maxStores, robSize).
+    size_t sqCap = 1;
+    while (sqCap < std::min(cfg.maxStores, cfg.robSize))
+        sqCap <<= 1;
+    sq_.resize(sqCap);
+    sqMask_ = sqCap - 1;
+    fetchBuf_.ring.resize(std::max(2 * cfg.fetchWidth, 1u));
+    for (unsigned i = 0; i < isa::kNumOps; ++i) {
+        auto op = static_cast<Op>(i);
+        OpInfo &d = ops_[i];
+        d.isLoad = isa::isLoad(op);
+        d.isStore = isa::isStore(op);
+        d.isBranch = isa::isBranch(op);
+        d.isCtrl = d.isBranch || isa::isJump(op);
+        d.isFpArith = isa::isFpArith(op);
+        d.readsFpRs1 = isa::readsFpRs1(op);
+        d.readsIntRs1 = isa::readsIntRs1(op);
+        d.readsFpRs2 = isa::readsFpRs2(op);
+        d.readsIntRs2 = isa::readsIntRs2(op);
+        d.writesFp = isa::writesFpReg(op);
+        d.hasDest = isa::hasDest(op);
+        d.latency = latencyOf(op);
+    }
     mapInt_.fill(-1);
     mapFp_.fill(-1);
     xreg_[2] = isa::kStackTop - 64;
+}
+
+template <typename Fn>
+bool
+CorePipeline::walkRange(const std::vector<uint64_t> &mask, size_t lo,
+                        size_t hi, Fn &fn)
+{
+    for (size_t w = lo >> 6; (w << 6) < hi; ++w) {
+        uint64_t range = ~0ULL;
+        if (w == (lo >> 6))
+            range &= ~0ULL << (lo & 63);
+        if (((w + 1) << 6) > hi)
+            range &= (1ULL << (hi & 63)) - 1;
+        // Re-read the word after every visit: the callback may clear
+        // bits (completion, squash) or set bits of younger entries
+        // (a completing store wakes the loads parked on it), which
+        // this walk then still reaches.
+        uint64_t bits = mask[w] & range;
+        while (bits) {
+            unsigned b = static_cast<unsigned>(__builtin_ctzll(bits));
+            if (!fn((w << 6) + b))
+                return false;
+            bits = mask[w] & range & ~((2ULL << b) - 1);
+        }
+    }
+    return true;
+}
+
+/**
+ * Visit the set bits of `mask` in program order: [head, size) then
+ * [0, head). Both bounds are fixed before the walk, so a squash inside
+ * it (which moves `tail_`) can never make it revisit an entry.
+ */
+template <typename Fn>
+void
+CorePipeline::walkFromHead(const std::vector<uint64_t> &mask,
+                           Fn &&fn) const
+{
+    const size_t head = head_;
+    if (walkRange(mask, head, rob_.size(), fn))
+        walkRange(mask, 0, head, fn);
 }
 
 void
 CorePipeline::restart(uint64_t entryIdx, uint64_t sp)
 {
     head_ = tail_ = count_ = 0;
-    iq_.clear();
+    std::fill(busy_.begin(), busy_.end(), 0);
+    std::fill(ready_.begin(), ready_.end(), 0);
+    std::fill(parked_.begin(), parked_.end(), 0);
+    iqCount_ = 0;
+    sqHead_ = sqTail_;
     fetchBuf_.clear();
     mapInt_.fill(-1);
     mapFp_.fill(-1);
@@ -53,7 +124,7 @@ CorePipeline::fetch()
         }
         const Instruction &insn = prog_.code[fetchIdx_];
         uint64_t next = fetchIdx_ + 1;
-        if (isa::isBranch(insn.op)) {
+        if (info(insn.op).isBranch) {
             if (pred_.predictTaken(fetchIdx_))
                 next = fetchIdx_ + static_cast<int64_t>(insn.imm);
         } else if (insn.op == Op::JAL) {
@@ -95,13 +166,14 @@ CorePipeline::rename()
 {
     for (unsigned i = 0; i < cfg_.renameWidth; ++i) {
         if (fetchBuf_.empty() || count_ == rob_.size() ||
-            iq_.size() >= cfg_.iqSize)
+            iqCount_ >= cfg_.iqSize)
             return;
         auto [pcIdx, predNext] = fetchBuf_.front();
         const Instruction &insn = prog_.code[pcIdx];
-        if (isa::isLoad(insn.op) && loadsInFlight_ >= cfg_.maxLoads)
+        const OpInfo &d = info(insn.op);
+        if (d.isLoad && loadsInFlight_ >= cfg_.maxLoads)
             return;
-        if (isa::isStore(insn.op) && storesInFlight_ >= cfg_.maxStores)
+        if (d.isStore && storesInFlight_ >= cfg_.maxStores)
             return;
         fetchBuf_.pop_front();
 
@@ -116,31 +188,31 @@ CorePipeline::rename()
         e.predNextIdx = predNext;
         e.stage = Stage::InIQ;
         e.src[0] = e.src[1] = -1;
-        e.isLoad = isa::isLoad(insn.op);
-        e.isStore = isa::isStore(insn.op);
-        e.isCtrl = isa::isBranch(insn.op) || isa::isJump(insn.op);
+        e.isLoad = d.isLoad;
+        e.isStore = d.isStore;
+        e.isCtrl = d.isCtrl;
         e.trap = TrapKind::None;
 
         // Sources.
         bool ecallFp =
             insn.op == Op::ECALL &&
             insn.imm == static_cast<int>(isa::Syscall::PrintFp);
-        if (isa::readsFpRs1(insn.op) || ecallFp)
+        if (d.readsFpRs1 || ecallFp)
             captureSource(e, 0, insn.rs1, true);
-        else if (isa::readsIntRs1(insn.op) && !ecallFp)
+        else if (d.readsIntRs1 && !ecallFp)
             captureSource(e, 0, insn.rs1, false);
-        if (isa::readsFpRs2(insn.op))
+        if (d.readsFpRs2)
             captureSource(e, 1, insn.rs2, true);
-        else if (isa::readsIntRs2(insn.op))
+        else if (d.readsIntRs2)
             captureSource(e, 1, insn.rs2, false);
         if (e.isStore)
             captureSource(e, 1, insn.rd, isa::storeDataIsFp(insn.op));
 
         // Destination.
-        e.destIsFp = isa::writesFpReg(insn.op);
+        e.destIsFp = d.writesFp;
         e.destReg = insn.rd;
         e.hasDest =
-            isa::hasDest(insn.op) && !(!e.destIsFp && insn.rd == 0);
+            d.hasDest && !(!e.destIsFp && insn.rd == 0);
         if (e.hasDest) {
             if (e.destIsFp)
                 mapFp_[e.destReg] = static_cast<int>(slot);
@@ -148,26 +220,37 @@ CorePipeline::rename()
                 mapInt_[e.destReg] = static_cast<int>(slot);
         }
 
-        if (e.isLoad)
+        // Register with the producers still in the ROB: a Done one
+        // only needs the commit-time patch, an unfinished one also
+        // holds the entry back until it completes.
+        waiters_[slot].clear();
+        e.pending = 0;
+        for (uint32_t k = 0; k < 2; ++k) {
+            if (e.src[k] < 0)
+                continue;
+            auto producer = static_cast<size_t>(e.src[k]);
+            waiters_[producer].push_back(
+                {e.seq, static_cast<uint32_t>(slot), k});
+            if (rob_[producer].stage != Stage::Done)
+                ++e.pending;
+        }
+        if (e.pending == 0)
+            setBit(ready_, slot);
+        ++iqCount_;
+
+        if (e.isLoad) {
             ++loadsInFlight_;
-        if (e.isStore)
+            e.storeSeq = sqTail_;
+        }
+        if (e.isStore) {
             ++storesInFlight_;
-        iq_.push_back(static_cast<int>(slot));
+            e.storeSeq = sqTail_;
+            sq_[sqTail_++ & sqMask_] = static_cast<uint32_t>(slot);
+        }
     }
 }
 
 // ---- issue -------------------------------------------------------------
-bool
-CorePipeline::sourcesReady(const RobEntry &e) const
-{
-    for (int s = 0; s < 2; ++s) {
-        if (e.src[s] >= 0 &&
-            rob_[static_cast<size_t>(e.src[s])].stage != Stage::Done)
-            return false;
-    }
-    return true;
-}
-
 uint64_t
 CorePipeline::sourceValue(const RobEntry &e, int s) const
 {
@@ -222,31 +305,26 @@ CorePipeline::checkMemFault(RobEntry &e)
 void
 CorePipeline::issue()
 {
+    // Oldest ready entries first: issue order is program order.
     unsigned issued = 0;
-    for (auto it = iq_.begin();
-         it != iq_.end() && issued < cfg_.issueWidth;) {
-        RobEntry &e = rob_[static_cast<size_t>(*it)];
-        if (!sourcesReady(e)) {
-            ++it;
-            continue;
-        }
+    walkFromHead(ready_, [&](size_t slot) {
+        if (issued >= cfg_.issueWidth)
+            return false;
+        RobEntry &e = rob_[slot];
         Op op = e.insn.op;
+        const OpInfo &d = info(op);
         bool intDiv = op == Op::DIV || op == Op::DIVU ||
                       op == Op::REM || op == Op::REMU;
         bool fpDiv = op == Op::FDIV_D || op == Op::FDIV_S;
-        if (intDiv && cycles_ < intDivBusyUntil_) {
-            ++it;
-            continue;
-        }
-        if (fpDiv && cycles_ < fpDivBusyUntil_) {
-            ++it;
-            continue;
-        }
+        if (intDiv && cycles_ < intDivBusyUntil_)
+            return true;
+        if (fpDiv && cycles_ < fpDivBusyUntil_)
+            return true;
 
         uint64_t a = sourceValue(e, 0);
         uint64_t b = sourceValue(e, 1);
         e.taint = sourceTaint(e, 0) | sourceTaint(e, 1);
-        e.countdown = latencyOf(op);
+        e.countdown = d.latency;
         e.stage = Stage::Exec;
 
         if (e.isLoad || e.isStore) {
@@ -256,7 +334,7 @@ CorePipeline::issue()
             if (e.isStore)
                 e.result = b; // store data
             e.countdown = cfg_.latAgen;
-        } else if (isa::isBranch(op)) {
+        } else if (d.isBranch) {
             bool taken = branchTaken(op, a, b);
             e.actualNextIdx =
                 taken ? e.pcIdx + static_cast<int64_t>(e.insn.imm)
@@ -286,16 +364,19 @@ CorePipeline::issue()
             ExecOut out = execArith(e.insn, a, b);
             e.result = out.value;
             if (out.fpSevere && cfg_.trapOnSevereFp &&
-                isa::isFpArith(op))
+                d.isFpArith)
                 e.trap = TrapKind::FpException;
             if (intDiv)
                 intDivBusyUntil_ = cycles_ + cfg_.latDiv;
             if (fpDiv)
                 fpDivBusyUntil_ = cycles_ + cfg_.latFpDiv;
         }
-        it = iq_.erase(it);
+        clearBit(ready_, slot);
+        setBit(busy_, slot);
+        --iqCount_;
         ++issued;
-    }
+        return true;
+    });
 }
 
 // ---- injection at writeback --------------------------------------------
@@ -314,7 +395,7 @@ CorePipeline::applyInjection(RobEntry &e)
         }
         ++anyDestCount_;
     }
-    if (isa::isFpArith(e.insn.op)) {
+    if (info(e.insn.op).isFpArith) {
         auto op = isa::fpuOpFor(e.insn.op);
         auto idx = static_cast<size_t>(op);
         const auto &events = plan_.fpOp(op);
@@ -335,26 +416,29 @@ void
 CorePipeline::squashAfter(size_t slot, uint64_t redirectIdx,
                           bool stopFetch)
 {
-    // Kill everything younger than `slot`.
+    // Kill everything younger than `slot`. A killed entry leaves every
+    // event structure, and its seq can no longer match a waiter record.
     while (tail_ != robNext(slot)) {
-        size_t last = (tail_ + rob_.size() - 1) % rob_.size();
+        size_t last = robPrev(tail_);
         RobEntry &e = rob_[last];
         if (e.isLoad)
             --loadsInFlight_;
-        if (e.isStore)
+        if (e.isStore) {
             --storesInFlight_;
+            --sqTail_;
+        }
         if (e.injected)
             ++injWrongPath_;
+        if (e.stage == Stage::InIQ)
+            --iqCount_;
+        clearBit(busy_, last);
+        clearBit(ready_, last);
+        clearBit(parked_, last);
+        e.seq = kKilledSeq;
         ++squashed_;
         tail_ = last;
         --count_;
     }
-    // Drop IQ entries that no longer exist.
-    uint64_t maxSeq = rob_[slot].seq;
-    std::erase_if(iq_, [&](int s) {
-        return rob_[static_cast<size_t>(s)].seq > maxSeq ||
-               rob_[static_cast<size_t>(s)].stage != Stage::InIQ;
-    });
     // Rebuild the rename tables from the surviving entries.
     mapInt_.fill(-1);
     mapFp_.fill(-1);
@@ -378,11 +462,19 @@ CorePipeline::finishExec(size_t slot)
 {
     RobEntry &e = rob_[slot];
     e.stage = Stage::Done;
+    clearBit(busy_, slot);
+    for (const Waiter &w : waiters_[slot]) {
+        RobEntry &c = rob_[w.slot];
+        if (c.seq == w.seq && --c.pending == 0)
+            setBit(ready_, w.slot);
+    }
+    if (e.isStore)
+        wakeLoadsBlockedOn(slot);
     ++executed_;
     applyInjection(e);
     if (e.isCtrl && !e.resolved) {
         e.resolved = true;
-        if (isa::isBranch(e.insn.op))
+        if (info(e.insn.op).isBranch)
             pred_.update(e.pcIdx, e.actualNextIdx != e.pcIdx + 1);
         if (e.insn.op == Op::JALR && e.trap == TrapKind::None)
             pred_.updateTarget(e.pcIdx, e.actualNextIdx);
@@ -397,20 +489,21 @@ CorePipeline::finishExec(size_t slot)
     }
 }
 
-/** Disambiguate a load against older in-flight stores. */
+/**
+ * Disambiguate a load against older in-flight stores. On Wait,
+ * `blocker` is the ROB slot of the store that decided it: the answer
+ * cannot change until that store completes or commits, because every
+ * younger store the walk passed is Done, trap-free and disjoint.
+ */
 CorePipeline::MemCheck
 CorePipeline::checkLoad(size_t slot, uint64_t &forwardValue,
-                        uint32_t &forwardTaint)
+                        uint32_t &forwardTaint, uint32_t &blocker)
 {
     const RobEntry &ld = rob_[slot];
-    // Walk older entries from youngest to oldest.
-    size_t i = slot;
-    MemCheck result = MemCheck::Ready;
-    while (i != head_) {
-        i = (i + rob_.size() - 1) % rob_.size();
-        const RobEntry &st = rob_[i];
-        if (!st.isStore)
-            continue;
+    // Walk the older in-flight stores from youngest to oldest.
+    for (uint64_t s = ld.storeSeq; s-- > sqHead_;) {
+        blocker = sq_[s & sqMask_];
+        const RobEntry &st = rob_[blocker];
         if (st.stage != Stage::Done)
             return MemCheck::Wait; // address unknown
         if (st.trap != TrapKind::None)
@@ -426,32 +519,57 @@ CorePipeline::checkLoad(size_t slot, uint64_t &forwardValue,
         }
         return MemCheck::Wait; // partial overlap: wait for commit
     }
-    return result;
+    return MemCheck::Ready;
+}
+
+/**
+ * Return the loads parked on store `slot` to the busy set. Called when
+ * the store completes (in writeback, before the walk reaches the
+ * younger loads) and when it commits (before writeback), so a woken
+ * load re-checks in exactly the cycle polling would first have seen
+ * a different answer.
+ */
+void
+CorePipeline::wakeLoadsBlockedOn(size_t slot)
+{
+    for (size_t w = 0; w < parked_.size(); ++w) {
+        for (uint64_t bits = parked_[w]; bits; bits &= bits - 1) {
+            size_t ld = (w << 6) +
+                        static_cast<size_t>(__builtin_ctzll(bits));
+            if (rob_[ld].blocker == slot) {
+                clearBit(parked_, ld);
+                setBit(busy_, ld);
+            }
+        }
+    }
 }
 
 void
 CorePipeline::writeback()
 {
-    for (size_t i = head_, n = 0; n < count_; i = robNext(i), ++n) {
+    // Only entries in flight can change; a mispredict squash inside
+    // the walk clears the bits of everything younger, ending it.
+    walkFromHead(busy_, [&](size_t i) {
         RobEntry &e = rob_[i];
         switch (e.stage) {
           case Stage::Exec:
             if (--e.countdown == 0) {
-                if (e.isLoad && e.trap == TrapKind::None) {
+                if (e.isLoad && e.trap == TrapKind::None)
                     e.stage = Stage::MemPending;
-                } else {
+                else
                     finishExec(i);
-                    // finishExec may squash; restart conservatively.
-                    if (rob_[i].stage != Stage::Done)
-                        return;
-                }
             }
             break;
           case Stage::MemPending: {
             uint64_t fwd = 0;
             uint32_t fwdTaint = 0;
-            MemCheck c = checkLoad(i, fwd, fwdTaint);
-            if (c == MemCheck::Forward) {
+            uint32_t blocker = 0;
+            MemCheck c = checkLoad(i, fwd, fwdTaint, blocker);
+            if (c == MemCheck::Wait) {
+                e.blocker = blocker;
+                clearBit(busy_, i);
+                setBit(parked_, i);
+            } else if (c == MemCheck::Forward) {
                 e.result = fwd;
                 e.memTaint = fwdTaint;
                 e.taint |= fwdTaint;
@@ -480,23 +598,22 @@ CorePipeline::writeback()
           default:
             break;
         }
-    }
+        return true;
+    });
 }
 
 // ---- commit ------------------------------------------------------------
-/** Patch IQ waiters whose producer leaves the ROB. */
+/** Patch unissued consumers whose producer leaves the ROB. */
 void
 CorePipeline::patchWaiters(size_t slot, uint64_t value, uint32_t taint)
 {
-    for (int s : iq_) {
-        RobEntry &e = rob_[static_cast<size_t>(s)];
-        for (int k = 0; k < 2; ++k) {
-            if (e.src[k] == static_cast<int>(slot)) {
-                e.src[k] = -1;
-                e.srcVal[k] = value;
-                e.srcTaint[k] = taint;
-            }
-        }
+    for (const Waiter &w : waiters_[slot]) {
+        RobEntry &c = rob_[w.slot];
+        if (c.seq != w.seq || c.stage != Stage::InIQ)
+            continue;
+        c.src[w.src] = -1;
+        c.srcVal[w.src] = value;
+        c.srcTaint[w.src] = taint;
     }
 }
 
@@ -547,6 +664,8 @@ CorePipeline::commit(TrapKind &trapOut)
         if (e.isStore) {
             port_.store(e.addr, e.size, e.result, e.taint);
             --storesInFlight_;
+            ++sqHead_;
+            wakeLoadsBlockedOn(head_);
         }
         if (e.isLoad) {
             --loadsInFlight_;

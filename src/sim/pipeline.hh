@@ -25,10 +25,10 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "fpu/fpu_types.hh"
+#include "isa/isa.hh"
 #include "isa/program.hh"
 #include "sim/ooo_sim.hh"
 #include "sim/sim_types.hh"
@@ -230,7 +230,7 @@ class CorePipeline
     {
         isa::Instruction insn;
         uint64_t pcIdx;
-        uint64_t seq;
+        uint64_t seq; ///< program-order id; kKilledSeq once squashed
         uint64_t predNextIdx;
         Stage stage;
         unsigned countdown;
@@ -239,6 +239,7 @@ class CorePipeline
         uint64_t srcVal[2];  ///< value when src == -1 (or after patch)
         uint32_t srcTaint[2];
         bool srcIsFp[2];
+        uint8_t pending; ///< sources whose producer is not yet Done
         // Destination.
         bool hasDest;
         bool destIsFp;
@@ -248,6 +249,13 @@ class CorePipeline
         uint32_t memTaint; ///< taint of the loaded memory word
         // Memory.
         bool isLoad, isStore;
+        /**
+         * Store-queue position: a store's own sequence number; for a
+         * load, the number of stores renamed before it (so the stores
+         * it must disambiguate against are [sqHead_, storeSeq)).
+         */
+        uint64_t storeSeq;
+        uint32_t blocker; ///< parked load: ROB slot of the store
         uint64_t addr;
         unsigned size;
         // Control.
@@ -259,10 +267,53 @@ class CorePipeline
         bool injected;
     };
 
+    /** A consumer's source operand waiting on a producer's result. */
+    struct Waiter
+    {
+        uint64_t seq;  ///< the consumer's seq when it registered
+        uint32_t slot; ///< the consumer's ROB slot
+        uint32_t src;  ///< which of its two sources
+    };
+
+    static constexpr uint64_t kKilledSeq = ~0ULL;
+
+    /** What the pipeline needs to know about an opcode, decoded once. */
+    struct OpInfo
+    {
+        bool isLoad, isStore, isBranch, isCtrl, isFpArith;
+        bool readsFpRs1, readsIntRs1, readsFpRs2, readsIntRs2;
+        bool writesFp, hasDest;
+        unsigned latency; ///< functional-unit latency (latencyOf)
+    };
+    const OpInfo &info(isa::Op op) const
+    {
+        return ops_[static_cast<size_t>(op)];
+    }
+
     enum class CommitOutcome { Continue, Halt, Crash };
     enum class MemCheck { Ready, Forward, Wait };
 
-    size_t robNext(size_t i) const { return (i + 1) % rob_.size(); }
+    size_t robNext(size_t i) const
+    {
+        return i + 1 == rob_.size() ? 0 : i + 1;
+    }
+    size_t robPrev(size_t i) const
+    {
+        return i == 0 ? rob_.size() - 1 : i - 1;
+    }
+    static void setBit(std::vector<uint64_t> &m, size_t i)
+    {
+        m[i >> 6] |= 1ULL << (i & 63);
+    }
+    static void clearBit(std::vector<uint64_t> &m, size_t i)
+    {
+        m[i >> 6] &= ~(1ULL << (i & 63));
+    }
+    template <typename Fn>
+    static bool walkRange(const std::vector<uint64_t> &mask, size_t lo,
+                          size_t hi, Fn &fn);
+    template <typename Fn>
+    void walkFromHead(const std::vector<uint64_t> &mask, Fn &&fn) const;
     uint64_t readIntNow(unsigned r) const
     {
         return r == 0 ? 0 : xreg_[r];
@@ -270,7 +321,6 @@ class CorePipeline
     void captureSource(RobEntry &e, int slot, unsigned reg, bool isFp);
     void fetch();
     void rename();
-    bool sourcesReady(const RobEntry &e) const;
     uint64_t sourceValue(const RobEntry &e, int s) const;
     uint32_t sourceTaint(const RobEntry &e, int s) const;
     unsigned latencyOf(isa::Op op) const;
@@ -280,7 +330,8 @@ class CorePipeline
     void squashAfter(size_t slot, uint64_t redirectIdx, bool stopFetch);
     void finishExec(size_t slot);
     MemCheck checkLoad(size_t slot, uint64_t &forwardValue,
-                       uint32_t &forwardTaint);
+                       uint32_t &forwardTaint, uint32_t &blocker);
+    void wakeLoadsBlockedOn(size_t slot);
     void writeback();
     void patchWaiters(size_t slot, uint64_t value, uint32_t taint);
     CommitOutcome commit(TrapKind &trapOut);
@@ -291,6 +342,7 @@ class CorePipeline
     CorePort &port_;
     unsigned coreId_;
     uint32_t coreMask_;
+    std::array<OpInfo, isa::kNumOps> ops_;
 
     // ROB.
     std::vector<RobEntry> rob_;
@@ -305,8 +357,46 @@ class CorePipeline
     std::array<uint32_t, 32> xregTaint_{};
     std::array<uint32_t, 32> fregTaint_{};
 
-    std::vector<int> iq_; // ROB slots, program order
-    std::deque<std::pair<uint64_t, uint64_t>> fetchBuf_; // (pcIdx, pred)
+    // Event structures (DESIGN.md §16): per-cycle work scales with the
+    // entries that can change, not with the ROB size. Bit i of a mask
+    // is ROB slot i; walks go from the head, i.e. in program order.
+    std::vector<uint64_t> busy_;   ///< Exec/MemAccess, unparked MemPending
+    std::vector<uint64_t> ready_;  ///< InIQ slots with every source Done
+    std::vector<uint64_t> parked_; ///< MemPending loads waiting on a store
+    std::vector<std::vector<Waiter>> waiters_; ///< consumers per slot
+    unsigned iqCount_ = 0;                     ///< entries InIQ
+    // Store queue: ROB slots of in-flight stores, indexed by store
+    // sequence number modulo a power-of-two capacity.
+    std::vector<uint32_t> sq_;
+    uint64_t sqMask_ = 0;
+    uint64_t sqHead_ = 0, sqTail_ = 0; ///< oldest in flight, next free
+
+    /** Fetched (pcIdx, predicted next) pairs: a fixed-capacity FIFO. */
+    struct FetchBuffer
+    {
+        std::vector<std::pair<uint64_t, uint64_t>> ring;
+        size_t head = 0, count = 0;
+
+        size_t size() const { return count; }
+        bool empty() const { return count == 0; }
+        void clear() { head = count = 0; }
+        const std::pair<uint64_t, uint64_t> &front() const
+        {
+            return ring[head];
+        }
+        void pop_front()
+        {
+            head = head + 1 == ring.size() ? 0 : head + 1;
+            --count;
+        }
+        void push_back(std::pair<uint64_t, uint64_t> v)
+        {
+            size_t i = head + count;
+            ring[i >= ring.size() ? i - ring.size() : i] = v;
+            ++count;
+        }
+    };
+    FetchBuffer fetchBuf_;
 
     uint64_t fetchIdx_;
     bool fetchStopped_ = false;

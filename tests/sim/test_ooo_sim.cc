@@ -5,6 +5,7 @@
 #include "sim/ooo_sim.hh"
 #include "softfloat/softfloat.hh"
 #include "util/rng.hh"
+#include "workloads/workloads.hh"
 
 using namespace tea::isa;
 using namespace tea::sim;
@@ -411,4 +412,156 @@ TEST(OooSim, WideMachineStillCorrect)
     auto r = sim.run(10'000'000);
     ASSERT_EQ(r.status, OooSim::Status::Halted);
     EXPECT_EQ(sim.console(), fsim.console());
+}
+
+namespace {
+
+/**
+ * Mispredicts that resolve while the ROB is wrapped (head > tail): each
+ * trip through the loop, a chain of FP divides blocks the head of a
+ * 12-entry ROB while the younger work fills the remaining slots, and a
+ * branch whose direction alternates every trip (so the 2-bit counter
+ * always guesses wrong) resolves behind it and squashes. A trip
+ * commits 15 or 21 instructions, so the divides land on a different
+ * slot each trip and the squashes happen at many head/tail alignments.
+ * On the original pipeline, 63 of the 84 squashes over the two widths
+ * below happened with the ROB wrapped (head > tail) or full.
+ */
+Program
+wrappedSquashProgram()
+{
+    AsmBuilder b("wrapsquash");
+    b.dataDoubles("c", {3.0});
+    b.la(5, "c");
+    b.fld(1, 5, 0);
+    b.li(10, 40); // outer trips
+    auto outer = b.newLabel();
+    b.bind(outer);
+    for (int i = 0; i < 8; ++i)
+        b.addi(11 + (i % 4), 0, i);
+    b.fdiv_d(2, 1, 1);
+    b.fdiv_d(3, 2, 1);
+    b.andi(6, 10, 1);
+    auto taken = b.newLabel();
+    b.beq(6, 0, taken); // alternates: the bimodal counter always misses
+    for (int i = 0; i < 6; ++i)
+        b.addi(20 + i, 20 + i, 1); // skipped on taken trips
+    b.bind(taken);
+    b.addi(7, 7, 1);
+    b.addi(10, 10, -1);
+    b.bne(10, 0, outer);
+    b.printInt(7);
+    b.halt();
+    return b.build();
+}
+
+/** The timing fields a machine-shape case pins. */
+std::string
+shapeStats(const OooSim::Result &r)
+{
+    return std::to_string(r.cycles) + " " + std::to_string(r.committed) +
+           " " + std::to_string(r.executed) + " " +
+           std::to_string(r.squashedInstructions) + " " +
+           std::to_string(r.branchMispredicts);
+}
+
+} // namespace
+
+TEST(OooSim, MachineShapesAreCycleExact)
+{
+    // Non-default machine shapes run to the exact cycle, commit,
+    // execute, squash and mispredict counts computed on the original
+    // pipeline: a ROB of 8, 48 (not a power of two) and 128 (more than
+    // one 64-bit mask word), a 4- and a 64-entry IQ, a 2-entry store
+    // queue, and 1- and 4-wide machines. Architectural correctness
+    // alone (Narrow/WideMachineStillCorrect) would not catch a walk
+    // that visits an entry twice or in the wrong order.
+    struct Shape
+    {
+        const char *name;
+        void (*apply)(OooConfig &);
+    };
+    const Shape shapes[] = {
+        {"rob8", [](OooConfig &c) { c.robSize = 8; }},
+        {"rob48", [](OooConfig &c) { c.robSize = 48; }},
+        {"rob128", [](OooConfig &c) { c.robSize = 128; }},
+        {"iq4", [](OooConfig &c) { c.iqSize = 4; }},
+        {"iq64", [](OooConfig &c) { c.iqSize = 64; }},
+        {"stores2", [](OooConfig &c) { c.maxStores = 2; }},
+        {"width1",
+         [](OooConfig &c) {
+             c.fetchWidth = c.renameWidth = c.issueWidth =
+                 c.commitWidth = 1;
+         }},
+        {"width4",
+         [](OooConfig &c) {
+             c.fetchWidth = c.renameWidth = c.issueWidth =
+                 c.commitWidth = 4;
+         }},
+    };
+    const std::pair<const char *, Program> programs[] = {
+        {"mixed", mixedProgram()},
+        {"sobel", tea::workloads::buildWorkload("sobel", 1).program},
+        {"k-means", tea::workloads::buildWorkload("k-means", 1).program},
+    };
+    // expected[shape][program]: "cycles committed executed squashed
+    // mispredicts".
+    const char *expected[8][3] = {
+        // rob8
+        {"180 105 106 19 5", "83506 24090 24090 12 27",
+         "166918 100173 117828 23947 6625"},
+        // rob48
+        {"139 105 118 46 6", "73552 24090 24090 148 27",
+         "136901 100173 171308 146394 8839"},
+        // rob128
+        {"139 105 118 48 6", "73552 24090 24090 146 27",
+         "136838 100173 172836 150706 8850"},
+        // iq4
+        {"162 105 107 24 5", "77900 24090 24090 30 27",
+         "155053 100173 118848 41454 6625"},
+        // iq64
+        {"139 105 115 37 6", "73552 24090 24090 9 27",
+         "136838 100173 171979 148613 8846"},
+        // stores2
+        {"139 105 115 37 6", "73552 24090 24090 147 27",
+         "138648 100173 155207 116767 7646"},
+        // width1
+        {"176 105 106 18 6", "75485 24090 24090 214 27",
+         "169953 100173 126072 62701 6689"},
+        // width4
+        {"135 105 132 78 6", "73128 24090 24096 188 27",
+         "126737 100173 233877 248939 8383"},
+    };
+    for (size_t s = 0; s < std::size(shapes); ++s) {
+        OooConfig cfg;
+        shapes[s].apply(cfg);
+        for (size_t p = 0; p < std::size(programs); ++p) {
+            OooSim sim(programs[p].second, cfg);
+            auto r = sim.run(100'000'000);
+            ASSERT_EQ(r.status, OooSim::Status::Halted)
+                << shapes[s].name << " " << programs[p].first;
+            EXPECT_EQ(shapeStats(r), expected[s][p])
+                << shapes[s].name << " " << programs[p].first;
+        }
+    }
+}
+
+TEST(OooSim, MispredictSquashOnWrappedRobIsCycleExact)
+{
+    Program p = wrappedSquashProgram();
+    FuncSim fsim(p);
+    fsim.run();
+    OooConfig cfg;
+    cfg.robSize = 12;
+    for (unsigned width : {1u, 2u}) {
+        cfg.fetchWidth = cfg.renameWidth = cfg.issueWidth =
+            cfg.commitWidth = width;
+        OooSim sim(p, cfg);
+        auto r = sim.run(1'000'000);
+        ASSERT_EQ(r.status, OooSim::Status::Halted);
+        EXPECT_EQ(sim.console(), fsim.console());
+        EXPECT_EQ(shapeStats(r), width == 1 ? "1311 726 726 41 42"
+                                           : "1208 726 726 162 42")
+            << width;
+    }
 }

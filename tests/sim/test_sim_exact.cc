@@ -1,0 +1,282 @@
+/**
+ * The cycle-exactness gate (ctest -L tier1sim): the OoO core and the
+ * N-core simulator built on it must reproduce, field for field, the
+ * timing and statistics pinned below. The constants were computed once
+ * on the straightforward pipeline (full-ROB writeback walk, IQ vector,
+ * ROB-walking load disambiguation); any restructuring of the pipeline's
+ * internals must leave every one of them unchanged.
+ *
+ * Pinned: every OooSim::Result field of each workload's golden run,
+ * every McSim::Result field of the threaded workloads at 2 and 4
+ * cores, and a CRC over the RunRecords of 64 seeded injection runs per
+ * workload under each of the DA, IA and WA models (reduced-size
+ * models, as in tests/dta/test_backend_caches.cc).
+ */
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <string>
+#include <vector>
+
+#include "core/toolflow.hh"
+#include "mc/mc_sim.hh"
+#include "sim/ooo_sim.hh"
+#include "util/crc32.hh"
+#include "workloads/workloads.hh"
+
+using namespace tea;
+using inject::InjectionCampaign;
+
+namespace {
+
+std::string
+describe(const sim::OooSim::Result &r)
+{
+    char buf[512];
+    std::snprintf(buf, sizeof buf,
+                  "status=%d trap=%d stop=%d cycles=%" PRIu64
+                  " committed=%" PRIu64 " executed=%" PRIu64
+                  " injected=%" PRIu64 " wrongPath=%" PRIu64
+                  " mispredicts=%" PRIu64 " l1Misses=%" PRIu64
+                  " l1Accesses=%" PRIu64 " squashed=%" PRIu64,
+                  static_cast<int>(r.status), static_cast<int>(r.trap),
+                  static_cast<int>(r.stop), r.cycles, r.committed,
+                  r.executed, r.injectionsApplied,
+                  r.injectionsOnWrongPath, r.branchMispredicts,
+                  r.cacheMisses, r.cacheAccesses,
+                  r.squashedInstructions);
+    return buf;
+}
+
+std::string
+describe(const mc::McSim::Result &r)
+{
+    char buf[1024];
+    std::snprintf(
+        buf, sizeof buf,
+        "status=%d trap=%d trapCore=%d stop=%d cycles=%" PRIu64
+        " committed=%" PRIu64 " executed=%" PRIu64 " injected=%" PRIu64
+        " wrongPath=%" PRIu64 " mispredicts=%" PRIu64
+        " squashed=%" PRIu64 " l1Misses=%" PRIu64 " l1Accesses=%" PRIu64
+        " crossLoads=%" PRIu64 " inval=%" PRIu64 " c2c=%" PRIu64
+        " upgrades=%" PRIu64 " l2Accesses=%" PRIu64 " l2Misses=%" PRIu64
+        " overwriteMasks=%" PRIu64 " spawns=%" PRIu64 " joins=%" PRIu64
+        " barriers=%" PRIu64,
+        static_cast<int>(r.status), static_cast<int>(r.trap), r.trapCore,
+        static_cast<int>(r.stop), r.cycles, r.committed, r.executed,
+        r.injectionsApplied, r.injectionsOnWrongPath,
+        r.branchMispredicts, r.squashedInstructions, r.l1Misses,
+        r.l1Accesses, r.crossTaintedLoads, r.coh.invalidations,
+        r.coh.c2cTransfers, r.coh.upgrades, r.coh.l2Accesses,
+        r.coh.l2Misses, r.coh.overwriteMasks, r.coh.spawns,
+        r.coh.joins, r.coh.barriers);
+    std::string s = buf;
+    s += " perCoreCommitted=";
+    for (uint64_t v : r.perCoreCommitted)
+        s += std::to_string(v) + ",";
+    s += " perCoreInjected=";
+    for (uint64_t v : r.perCoreInjected)
+        s += std::to_string(v) + ",";
+    return s;
+}
+
+/** CRC over every field of a run's records, in run-index order. */
+uint32_t
+recordsCrc(const std::vector<InjectionCampaign::RunRecord> &recs)
+{
+    uint32_t crc = 0;
+    for (size_t i = 0; i < recs.size(); ++i) {
+        const auto &r = recs[i];
+        uint64_t w;
+        std::memcpy(&w, &r.logWeight, sizeof w);
+        char buf[256];
+        int n = std::snprintf(
+            buf, sizeof buf,
+            "%zu %d %" PRIu64 " %" PRIu64 " %" PRIu64 " %u %d %" PRIx64
+            " %d\n",
+            i, static_cast<int>(r.outcome), r.injected, r.committed,
+            r.wrongPath, r.attempts, static_cast<int>(r.fault), w,
+            static_cast<int>(r.mcClass));
+        crc = crc32(buf, static_cast<size_t>(n), crc);
+    }
+    return crc;
+}
+
+struct GoldenCase
+{
+    const char *workload;
+    const char *expected;
+};
+
+const GoldenCase kOooGolden[] = {
+    {"sobel",
+     "status=0 trap=0 stop=0 cycles=73552 committed=24090 "
+     "executed=24090 injected=0 wrongPath=0 mispredicts=27 "
+     "l1Misses=139 l1Accesses=4382 squashed=147"},
+    {"cg",
+     "status=0 trap=0 stop=0 cycles=84485 committed=117122 "
+     "executed=117122 injected=0 wrongPath=0 "
+     "mispredicts=352 l1Misses=226 l1Accesses=29283 "
+     "squashed=904"},
+    {"k-means",
+     "status=0 trap=0 stop=0 cycles=136838 "
+     "committed=100173 executed=171979 injected=0 "
+     "wrongPath=0 mispredicts=8846 l1Misses=99 "
+     "l1Accesses=34521 squashed=148613"},
+    {"srad_v1",
+     "status=0 trap=0 stop=0 cycles=50985 committed=37565 "
+     "executed=41130 injected=0 wrongPath=0 "
+     "mispredicts=214 l1Misses=175 l1Accesses=8446 "
+     "squashed=6390"},
+    {"hotspot",
+     "status=0 trap=0 stop=0 cycles=90295 committed=53375 "
+     "executed=53381 injected=0 wrongPath=0 "
+     "mispredicts=108 l1Misses=211 l1Accesses=14336 "
+     "squashed=285"},
+    {"is",
+     "status=0 trap=0 stop=0 cycles=188999 committed=80931 "
+     "executed=81901 injected=0 wrongPath=0 "
+     "mispredicts=2608 l1Misses=259 l1Accesses=4713 "
+     "squashed=5779"},
+    {"mg",
+     "status=0 trap=0 stop=0 cycles=583858 "
+     "committed=281706 executed=281706 injected=0 "
+     "wrongPath=0 mispredicts=880 l1Misses=3114 "
+     "l1Accesses=88537 squashed=1370"},
+};
+
+struct McCase
+{
+    const char *workload;
+    unsigned cores;
+    const char *expected;
+};
+
+const McCase kMcGolden[] = {
+    {"k-means-mt", 2,
+     "status=0 trap=0 trapCore=-1 stop=0 cycles=167021 "
+     "committed=103551 executed=190750 injected=0 "
+     "wrongPath=0 mispredicts=8922 squashed=162007 "
+     "l1Misses=2275 l1Accesses=35581 crossLoads=0 "
+     "inval=2107 c2c=969 upgrades=2142 l2Accesses=132 "
+     "l2Misses=66 overwriteMasks=0 spawns=1 joins=1 "
+     "barriers=10 perCoreCommitted=52214,51337, "
+     "perCoreInjected=0,0,"},
+    {"k-means-mt", 4,
+     "status=0 trap=0 trapCore=-1 stop=0 cycles=171640 "
+     "committed=104641 executed=193588 injected=0 "
+     "wrongPath=0 mispredicts=8915 squashed=162330 "
+     "l1Misses=2693 l1Accesses=35999 crossLoads=0 "
+     "inval=2390 c2c=971 upgrades=2410 l2Accesses=277 "
+     "l2Misses=66 overwriteMasks=0 spawns=3 joins=1 "
+     "barriers=10 "
+     "perCoreCommitted=27258,25801,25785,25797, "
+     "perCoreInjected=0,0,0,0,"},
+    {"hotspot-mt", 2,
+     "status=0 trap=0 trapCore=-1 stop=0 cycles=99878 "
+     "committed=53566 executed=54216 injected=0 "
+     "wrongPath=0 mispredicts=120 squashed=1288 "
+     "l1Misses=588 l1Accesses=14461 crossLoads=0 inval=301 "
+     "c2c=219 upgrades=376 l2Accesses=209 l2Misses=139 "
+     "overwriteMasks=0 spawns=1 joins=1 barriers=8 "
+     "perCoreCommitted=27845,25721, perCoreInjected=0,0,"},
+    {"hotspot-mt", 4,
+     "status=0 trap=0 trapCore=-1 stop=0 cycles=111542 "
+     "committed=53712 executed=55154 injected=0 "
+     "wrongPath=0 mispredicts=139 squashed=2184 "
+     "l1Misses=924 l1Accesses=14615 crossLoads=0 inval=563 "
+     "c2c=230 upgrades=416 l2Accesses=494 l2Misses=139 "
+     "overwriteMasks=0 spawns=3 joins=1 barriers=8 "
+     "perCoreCommitted=16193,14061,11729,11729, "
+     "perCoreInjected=0,0,0,0,"},
+};
+
+struct InjectionCase
+{
+    const char *workload;
+    uint32_t da, ia, wa;
+};
+
+const InjectionCase kInjection[] = {
+    {"sobel", 994582826u, 1564126042u, 1324725416u},
+    {"cg", 1774708760u, 3362936657u, 1337185901u},
+    {"k-means", 813493094u, 724030650u, 2556049359u},
+    {"srad_v1", 2788814083u, 4150319851u, 3884536394u},
+    {"hotspot", 2813241043u, 528674369u, 2412097891u},
+    {"is", 2136015737u, 2439967123u, 1747553399u},
+    {"mg", 388878169u, 3828216909u, 122985912u},
+    {"k-means-mt", 3004980385u, 4115131931u, 2813289071u},
+    {"hotspot-mt", 3307290042u, 2136301590u, 3571902285u},
+};
+
+constexpr uint64_t kInjectionRuns = 64;
+
+} // namespace
+
+TEST(SimExact, OooGoldenRunsArePinned)
+{
+    for (const auto &c : kOooGolden) {
+        auto w = workloads::buildWorkload(c.workload, 1);
+        sim::OooSim sim(w.program);
+        EXPECT_EQ(describe(sim.run(~0ULL)), c.expected) << c.workload;
+    }
+}
+
+TEST(SimExact, McGoldenRunsArePinned)
+{
+    for (const auto &c : kMcGolden) {
+        auto w = workloads::buildWorkload(c.workload, 1);
+        mc::McConfig cfg;
+        cfg.cores = c.cores;
+        mc::McSim sim(w.program, cfg);
+        EXPECT_EQ(describe(sim.run(~0ULL)), c.expected)
+            << c.workload << " x" << c.cores;
+    }
+}
+
+TEST(SimExact, InjectionRecordsArePinned)
+{
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::path(::testing::TempDir()) / "tea_sim_exact_models";
+    fs::remove_all(root);
+
+    core::ToolflowOptions opt;
+    opt.cacheDir = root.string();
+    opt.threads = 2;
+    opt.iaCountPerOp = 40;
+    opt.waMaxOps = 700;
+    opt.daSampleOps = 700;
+    core::Toolflow tf(opt);
+    const double vr = circuit::kVR20;
+
+    auto crcOf = [&](const InjectionCampaign &camp,
+                     const models::ErrorModel &model) {
+        std::vector<InjectionCampaign::RunRecord> recs(kInjectionRuns);
+        InjectionCampaign::RunOptions ro;
+        ro.pool = &tf.pool();
+        ro.onComplete = [&](uint64_t i,
+                            const InjectionCampaign::RunRecord &r) {
+            recs[i] = r;
+        };
+        Rng rng(opt.seed);
+        EXPECT_EQ(camp.runRange(model, 0, kInjectionRuns, rng, ro),
+                  kInjectionRuns);
+        return recordsCrc(recs);
+    };
+
+    auto da = tf.daModel(vr);
+    auto ia = tf.iaModel(vr);
+    for (const auto &c : kInjection) {
+        const auto &camp = tf.campaign(c.workload);
+        auto wa = tf.waModel(c.workload, vr);
+        EXPECT_EQ(crcOf(camp, da), c.da) << c.workload << " DA";
+        EXPECT_EQ(crcOf(camp, ia), c.ia) << c.workload << " IA";
+        EXPECT_EQ(crcOf(camp, wa), c.wa) << c.workload << " WA";
+    }
+    fs::remove_all(root);
+}
