@@ -92,8 +92,7 @@ main(int argc, char **argv)
                 sim::OooConfig{}, mcCfg);
             Rng rng(opt.seed);
             bench::WallTimer timer;
-            inject::CampaignResult r =
-                camp.run(model, runs, rng, nullptr);
+            inject::CampaignResult r = camp.run(model, runs, rng);
             setQuiet(false);
             double secs = timer.seconds();
             double rps = secs > 0

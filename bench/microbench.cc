@@ -381,7 +381,9 @@ runThreadSweep()
 
         t0 = std::chrono::steady_clock::now();
         Rng injRng(2);
-        auto result = campaign.run(model, injectionRuns, injRng, &pool);
+        inject::InjectionCampaign::RunOptions injOpts;
+        injOpts.pool = &pool;
+        auto result = campaign.run(model, injectionRuns, injRng, injOpts);
         double injSec = secondsSince(t0);
 
         // The determinism guarantee, checked while we are at it.

@@ -162,6 +162,8 @@ CampaignResult::fractionInterval(Outcome o, double conf) const
     return stats::wilson(n, classified(), conf);
 }
 
+InjectionCampaign::RunOptions::RunOptions() = default;
+
 InjectionCampaign::InjectionCampaign(Unprepared,
                                      workloads::Workload workload,
                                      sim::OooConfig cfg,
@@ -237,6 +239,7 @@ InjectionCampaign::prepare()
                     "workload '%s' golden McSim run did not halt",
                     workload_.name.c_str());
             goldenCycles_ = mres.cycles;
+            goldenCommitted_ = mres.committed;
             goldenSignature_ =
                 outputSignature(msim.memory(), msim.console());
         } catch (const std::exception &e) {
@@ -266,6 +269,7 @@ InjectionCampaign::prepare()
                              "workload '%s' golden OoO run did not halt",
                              workload_.name.c_str());
         goldenCycles_ = ores.cycles;
+        goldenCommitted_ = ores.committed;
         goldenSignature_ = outputSignature(osim.memory(), osim.console());
     } catch (const std::exception &e) {
         return makeError(ErrorCode::EngineFault,
@@ -292,6 +296,26 @@ InjectionCampaign::outputSignature(const sim::Memory &mem,
 }
 
 InjectionCampaign::RunRecord
+InjectionCampaign::goldenRecord(double logWeight) const
+{
+    obs::Registry::global()
+        .counter(obs::metric::kInjectShortcuts, "",
+                 "injection runs given the golden record because "
+                 "their plan was empty")
+        .inc(1);
+    // The simulators are deterministic, so a run that injects nothing
+    // is the run prepare() already simulated. The weight is still the
+    // plan's own: a reweighted proposal can plan nothing with a
+    // likelihood ratio other than 1.
+    RunRecord rec;
+    rec.outcome = Outcome::Masked;
+    rec.committed = goldenCommitted_;
+    rec.logWeight = logWeight;
+    rec.mcClass = workload_.threaded ? McClass::Masked : McClass::None;
+    return rec;
+}
+
+InjectionCampaign::RunRecord
 InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
                                 const Watchdog *watchdog) const
 {
@@ -301,6 +325,7 @@ InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
     // op on core k". The run's weight is the product (log-sum) of the
     // per-core plan weights.
     double logWeight = 0.0;
+    bool anyEvent = false;
     std::vector<sim::InjectionPlan> plans;
     plans.reserve(coreProfiles_.size());
     for (unsigned k = 0; k < coreProfiles_.size(); ++k) {
@@ -309,8 +334,11 @@ InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
         for (auto &e : events)
             e.core = k;
         logWeight += lw;
+        anyEvent = anyEvent || !events.empty();
         plans.emplace_back(events);
     }
+    if (!anyEvent)
+        return goldenRecord(logWeight);
     mc::McSim sim(workload_.program, mcCfg_, std::move(plans));
     auto res = sim.run(2 * goldenCycles_, watchdog);
 
@@ -399,6 +427,8 @@ InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
         return executeOneMc(model, rng, watchdog);
     double logWeight = 0.0;
     auto events = model.planWeighted(profile_, rng, logWeight);
+    if (events.empty())
+        return goldenRecord(logWeight);
     OooSim sim(workload_.program, cfg_, sim::InjectionPlan(events));
     auto res = sim.run(2 * goldenCycles_, watchdog);
     RunRecord rec;
@@ -487,15 +517,6 @@ InjectionCampaign::runOne(const ErrorModel &model, Rng &rng,
     return rec.outcome;
 }
 
-CampaignResult
-InjectionCampaign::run(const ErrorModel &model, int runs, Rng &rng,
-                       ThreadPool *pool) const
-{
-    RunOptions opts;
-    opts.pool = pool;
-    return run(model, runs, rng, opts);
-}
-
 uint64_t
 InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
                             uint64_t hi, Rng &rng,
@@ -512,6 +533,12 @@ InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
     obs::Counter mReplays = reg.counter(
         obs::metric::kInjectReplays, "",
         "injection runs satisfied from a journal instead of simulated");
+    obs::Counter mCancelled = reg.counter(
+        obs::metric::kWatchdogCancelled, "",
+        "runs abandoned because a cancellation was requested");
+    obs::Counter mDeadline =
+        reg.counter(obs::metric::kWatchdogDeadline, "",
+                    "runs cut off by the per-run deadline");
     obs::Histogram mRunMs = reg.histogram(
         obs::metric::kInjectRunMs, obs::latencyBucketsMs(), "",
         "wall time of one contained injection run");
@@ -530,8 +557,12 @@ InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
         mRunMs.observe(std::chrono::duration<double, std::milli>(
                            std::chrono::steady_clock::now() - t0)
                            .count());
-        if (rec.fault == ErrorCode::Cancelled)
+        if (rec.fault == ErrorCode::Cancelled) {
+            mCancelled.inc(1);
             return; // shutdown mid-run: leave it for the resume
+        }
+        if (rec.fault == ErrorCode::RunDeadline)
+            mDeadline.inc(1);
         executed.fetch_add(1, std::memory_order_relaxed);
         if (opts.onComplete)
             opts.onComplete(i, rec);

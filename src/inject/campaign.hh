@@ -6,9 +6,10 @@
  * and outputs), then repeatedly plan injections with an error model,
  * run the detailed OoO simulation with them, and classify each run as
  * Masked / SDC / Crash / Timeout per the paper's definitions (timeout =
- * 2x the error-free execution time). Aggregates outcome distributions
- * (Fig. 9), injected-error ratios (Fig. 10), and the Application
- * Vulnerability Metric (Eq. 4).
+ * 2x the error-free execution time). A run whose plan is empty is the
+ * golden run and takes its record without being simulated. Aggregates
+ * outcome distributions (Fig. 9), injected-error ratios (Fig. 10), and
+ * the Application Vulnerability Metric (Eq. 4).
  *
  * Fault containment: the campaign also classifies its *own* failures.
  * An exception escaping one run (a bug in an error model, a transient
@@ -249,6 +250,13 @@ class InjectionCampaign
     /** Durability and containment knobs for run(). */
     struct RunOptions
     {
+        /**
+         * Defaulted out of line: run() can then take `{}` as a default
+         * argument inside this class, before the member initializers
+         * below are complete.
+         */
+        RunOptions();
+
         /** Worker pool (the global pool when null). */
         ThreadPool *pool = nullptr;
         /** Cooperative shutdown flag polled per run and in-sim. */
@@ -317,11 +325,7 @@ class InjectionCampaign
      * journal, across interrupt/resume cycles too.
      */
     CampaignResult run(const models::ErrorModel &model, int runs,
-                       Rng &rng, const RunOptions &opts) const;
-
-    /** Back-compat overload: pool only, no containment hooks. */
-    CampaignResult run(const models::ErrorModel &model, int runs,
-                       Rng &rng, ThreadPool *pool = nullptr) const;
+                       Rng &rng, const RunOptions &opts = {}) const;
 
     /**
      * Execute only runs [lo, hi) of a fixed-size campaign, reporting
@@ -353,6 +357,9 @@ class InjectionCampaign
     RunRecord executeOneMc(const models::ErrorModel &model, Rng &rng,
                            const Watchdog *watchdog) const;
 
+    /** The record of a run whose plan has no event (DESIGN.md §17). */
+    RunRecord goldenRecord(double logWeight) const;
+
     /** Capture the checked output state of a finished simulation. */
     std::vector<uint8_t> outputSignature(const sim::Memory &mem,
                                          const sim::Console &console) const;
@@ -364,6 +371,8 @@ class InjectionCampaign
     /** Per-core profiles (threaded only): plan "core k's n-th op". */
     std::vector<models::ProgramProfile> coreProfiles_;
     uint64_t goldenCycles_ = 0;
+    /** Instructions the golden run committed (all cores). */
+    uint64_t goldenCommitted_ = 0;
     std::vector<uint8_t> goldenSignature_;
 };
 

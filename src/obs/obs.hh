@@ -38,6 +38,8 @@ inline constexpr const char *kInjectRetries =
 inline constexpr const char *kInjectReplays =
     "tea_inject_replays_total";
 inline constexpr const char *kInjectRunMs = "tea_inject_run_ms";
+inline constexpr const char *kInjectShortcuts =
+    "tea_inject_runs_shortcut_total";
 // ---- multi-core injection (McSim) ----------------------------------
 inline constexpr const char *kMcOutcomes = "tea_mc_outcomes_total";
 inline constexpr const char *kMcInvalidations =

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "inject/campaign.hh"
+#include "obs/metrics.hh"
+#include "obs/obs.hh"
 #include "workloads/workloads.hh"
 
 using namespace tea;
@@ -36,7 +40,142 @@ aggressiveStats()
     return stats;
 }
 
+/**
+ * A reweighted proposal that never plans an event: every run it drives
+ * is the golden run, yet carries a weight other than 1.
+ */
+class NoEventModel final : public ErrorModel
+{
+  public:
+    static constexpr double kLogWeight = -0.8125;
+
+    ModelKind kind() const override { return ModelKind::WA; }
+    std::string describe() const override { return "no-event"; }
+    std::vector<sim::InjectionEvent> plan(const ProgramProfile &,
+                                          Rng &) const override
+    {
+        return {};
+    }
+    std::vector<sim::InjectionEvent>
+    planWeighted(const ProgramProfile &profile, Rng &rng,
+                 double &logWeight) const override
+    {
+        logWeight = kLogWeight;
+        return plan(profile, rng);
+    }
+    bool weightedProposal() const override { return true; }
+    double expectedErrors(const ProgramProfile &) const override
+    {
+        return 0.0;
+    }
+};
+
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** Output symbols of a finished run, as the campaign compares them. */
+std::vector<uint8_t>
+outputsOf(const workloads::Workload &w, const sim::Memory &mem)
+{
+    std::vector<uint8_t> out;
+    for (const auto &sym : w.outputSymbols) {
+        auto block = mem.readBlock(w.program.symbol(sym),
+                                   w.program.symbolSize(sym));
+        out.insert(out.end(), block.begin(), block.end());
+    }
+    return out;
+}
+
+void
+expectSameRecord(const InjectionCampaign::RunRecord &got,
+                 const InjectionCampaign::RunRecord &want,
+                 const std::string &what)
+{
+    EXPECT_EQ(got.outcome, want.outcome) << what;
+    EXPECT_EQ(got.committed, want.committed) << what;
+    EXPECT_EQ(got.injected, want.injected) << what;
+    EXPECT_EQ(got.wrongPath, want.wrongPath) << what;
+    EXPECT_EQ(bitsOf(got.logWeight), bitsOf(want.logWeight)) << what;
+    EXPECT_EQ(got.mcClass, want.mcClass) << what;
+}
+
 } // namespace
+
+TEST(InjectionCampaign, EmptyPlanRecordIsTheSimulatedRecord)
+{
+    // A run with no event gets the golden run's record without being
+    // simulated. Simulating it with an empty plan (N empty plans on
+    // McSim, where the golden run had none) must give the same record.
+    obs::Counter shortcuts =
+        obs::Registry::global().counter(obs::metric::kInjectShortcuts);
+    NoEventModel model;
+    uint64_t runs = 0;
+    uint64_t before = shortcuts.value();
+
+    for (const char *name : {"sobel", "cg", "k-means", "srad_v1",
+                             "hotspot", "is", "mg"}) {
+        workloads::Workload w = workloads::buildWorkload(name, 1);
+        InjectionCampaign camp(w);
+        sim::OooSim golden(w.program);
+        golden.run(~0ULL);
+        sim::OooSim sim(w.program, sim::OooConfig{},
+                        sim::InjectionPlan{});
+        auto res = sim.run(2 * camp.goldenCycles());
+        ASSERT_EQ(res.status, sim::OooSim::Status::Halted) << name;
+        ASSERT_EQ(outputsOf(w, sim.memory()),
+                  outputsOf(w, golden.memory()))
+            << name;
+        InjectionCampaign::RunRecord want;
+        want.outcome = Outcome::Masked;
+        want.committed = res.committed;
+        want.injected = res.injectionsApplied;
+        want.wrongPath = res.injectionsOnWrongPath;
+        want.logWeight = NoEventModel::kLogWeight;
+        want.mcClass = McClass::None;
+
+        Rng rng(5);
+        expectSameRecord(camp.executeOne(model, rng), want, name);
+        ++runs;
+    }
+
+    for (const char *name : {"k-means-mt", "hotspot-mt"}) {
+        for (unsigned cores : {2u, 4u}) {
+            std::string what =
+                std::string(name) + " x" + std::to_string(cores);
+            workloads::Workload w = workloads::buildWorkload(name, 1);
+            mc::McConfig cfg;
+            cfg.cores = cores;
+            InjectionCampaign camp(w, sim::OooConfig{}, cfg);
+            mc::McSim golden(w.program, cfg);
+            golden.run(~0ULL);
+            mc::McSim sim(w.program, cfg,
+                          std::vector<sim::InjectionPlan>(cores));
+            auto res = sim.run(2 * camp.goldenCycles());
+            ASSERT_EQ(res.status, mc::McSim::Status::Halted) << what;
+            ASSERT_EQ(outputsOf(w, sim.memory()),
+                      outputsOf(w, golden.memory()))
+                << what;
+            InjectionCampaign::RunRecord want;
+            want.outcome = Outcome::Masked;
+            want.committed = res.committed;
+            want.injected = res.injectionsApplied;
+            want.wrongPath = res.injectionsOnWrongPath;
+            // Per-core weights add: N cores, each planning nothing.
+            want.logWeight = NoEventModel::kLogWeight * cores;
+            want.mcClass = McClass::Masked;
+
+            Rng rng(5);
+            expectSameRecord(camp.executeOne(model, rng), want, what);
+            ++runs;
+        }
+    }
+    EXPECT_EQ(shortcuts.value() - before, runs);
+}
 
 TEST(InjectionCampaign, GoldenPreparation)
 {

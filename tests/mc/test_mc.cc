@@ -405,7 +405,7 @@ TEST(McCampaign, TaxonomyRefinesBaseOutcomes)
     // masking and enough corrupt ones to see both SDC flavours.
     models::DaModel model(0.00002);
     Rng rng(11);
-    inject::CampaignResult res = campaign.run(model, 80, rng, nullptr);
+    inject::CampaignResult res = campaign.run(model, 80, rng);
 
     EXPECT_EQ(res.runs, 80u);
     EXPECT_EQ(res.engineFault, 0u);

@@ -25,6 +25,7 @@
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "util/threadpool.hh"
+#include "util/watchdog.hh"
 #include "workloads/workloads.hh"
 
 using namespace tea;
@@ -48,6 +49,42 @@ slurp(const std::string &path)
     s << in.rdbuf();
     return s.str();
 }
+
+/**
+ * Plans one event the run never reaches, so every run simulates the
+ * whole program; optionally requests a cancellation while planning, so
+ * the run's own watchdog stops it.
+ */
+class LateEventModel final : public models::ErrorModel
+{
+  public:
+    explicit LateEventModel(CancelToken *cancelOnPlan = nullptr)
+        : cancelOnPlan_(cancelOnPlan)
+    {
+    }
+    models::ModelKind kind() const override
+    {
+        return models::ModelKind::DA;
+    }
+    std::string describe() const override { return "late-event"; }
+    std::vector<sim::InjectionEvent>
+    plan(const models::ProgramProfile &, Rng &) const override
+    {
+        if (cancelOnPlan_)
+            cancelOnPlan_->cancel();
+        sim::InjectionEvent ev{};
+        ev.kind = sim::InjectionEvent::Kind::AnyDest;
+        ev.index = ~0ULL;
+        return {ev};
+    }
+    double expectedErrors(const models::ProgramProfile &) const override
+    {
+        return 0.0;
+    }
+
+  private:
+    CancelToken *cancelOnPlan_;
+};
 
 } // namespace
 
@@ -266,16 +303,62 @@ TEST(Manifest, RejectsWrongSchema)
 
 // ---- determinism: obs on vs off ------------------------------------
 
+TEST(Metrics, RunRangeCountsWatchdogOutcomes)
+{
+    // Fleet workers execute their shards through runRange(); it must
+    // count deadline cut-offs and cancelled runs exactly as run() does.
+    inject::InjectionCampaign campaign(workloads::buildWorkload("mg", 1));
+    Registry &reg = Registry::global();
+    Counter deadline = reg.counter(metric::kWatchdogDeadline);
+    Counter cancelled = reg.counter(metric::kWatchdogCancelled);
+    ThreadPool pool(1);
+
+    // A 1 ms deadline against a full mg run (tens of ms): both runs
+    // are recorded, as RunDeadline EngineFaults.
+    uint64_t deadlineBefore = deadline.value();
+    uint64_t cancelledBefore = cancelled.value();
+    std::vector<ErrorCode> faults;
+    inject::InjectionCampaign::RunOptions opts;
+    opts.pool = &pool;
+    opts.runDeadlineMs = 1;
+    opts.onComplete = [&](uint64_t,
+                          const inject::InjectionCampaign::RunRecord &r) {
+        faults.push_back(r.fault);
+    };
+    LateEventModel late;
+    Rng rng(1);
+    EXPECT_EQ(campaign.runRange(late, 0, 2, rng, opts), 2u);
+    EXPECT_EQ(faults, std::vector<ErrorCode>(2, ErrorCode::RunDeadline));
+    EXPECT_EQ(deadline.value() - deadlineBefore, 2u);
+    EXPECT_EQ(cancelled.value() - cancelledBefore, 0u);
+
+    // Cancellation requested while run 0 plans: run 0 is abandoned
+    // mid-simulation and run 1 never starts. Nothing is recorded.
+    CancelToken token;
+    LateEventModel cancelling(&token);
+    faults.clear();
+    deadlineBefore = deadline.value();
+    opts.runDeadlineMs = 0;
+    opts.cancel = &token;
+    Rng rng2(1);
+    EXPECT_EQ(campaign.runRange(cancelling, 0, 2, rng2, opts), 0u);
+    EXPECT_TRUE(faults.empty());
+    EXPECT_EQ(cancelled.value() - cancelledBefore, 1u);
+    EXPECT_EQ(deadline.value() - deadlineBefore, 0u);
+}
+
 TEST(Determinism, CampaignBytesIdenticalWithObsOnVsOff)
 {
     inject::InjectionCampaign campaign(
         workloads::buildWorkload("sobel", 1));
     models::DaModel model(5e-3);
     ThreadPool pool(4);
+    inject::InjectionCampaign::RunOptions opts;
+    opts.pool = &pool;
 
     auto runOnce = [&] {
         Rng rng(42);
-        return campaign.run(model, 8, rng, &pool);
+        return campaign.run(model, 8, rng, opts);
     };
 
     // Pass 1 runs with the process's ambient obs state; pass 2 with

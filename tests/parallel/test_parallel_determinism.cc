@@ -189,8 +189,10 @@ TEST(ParallelDeterminism, InjectionCampaignThreadCountInvariant)
     std::vector<inject::CampaignResult> results;
     for (unsigned threads : {1u, 2u, 4u}) {
         ThreadPool pool(threads);
+        inject::InjectionCampaign::RunOptions opts;
+        opts.pool = &pool;
         Rng rng(7);
-        results.push_back(campaign.run(model, 6, rng, &pool));
+        results.push_back(campaign.run(model, 6, rng, opts));
     }
     EXPECT_EQ(results[0].runs, 6u);
     EXPECT_GT(results[0].injectedErrors, 0u);

@@ -521,8 +521,10 @@ TEST(Journal, InterruptedCampaignResumesBitIdentically)
     inject::CampaignResult ref;
     {
         ThreadPool pool(2);
+        InjectionCampaign::RunOptions opts;
+        opts.pool = &pool;
         Rng rng(7);
-        ref = campaign.run(model, kRuns, rng, &pool);
+        ref = campaign.run(model, kRuns, rng, opts);
     }
     EXPECT_EQ(ref.runs, static_cast<uint64_t>(kRuns));
 

@@ -10,7 +10,10 @@
  * every McSim::Result field of the threaded workloads at 2 and 4
  * cores, and a CRC over the RunRecords of 64 seeded injection runs per
  * workload under each of the DA, IA and WA models (reduced-size
- * models, as in tests/dta/test_backend_caches.cc).
+ * models, as in tests/dta/test_backend_caches.cc) at VR20 and VR15.
+ * Several VR15 cells plan no error at all, so those rows also pin the
+ * records of empty-plan runs, which the campaign takes from the golden
+ * run instead of simulating.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -201,7 +205,7 @@ struct InjectionCase
     uint32_t da, ia, wa;
 };
 
-const InjectionCase kInjection[] = {
+const InjectionCase kInjectionVr20[] = {
     {"sobel", 994582826u, 1564126042u, 1324725416u},
     {"cg", 1774708760u, 3362936657u, 1337185901u},
     {"k-means", 813493094u, 724030650u, 2556049359u},
@@ -213,7 +217,38 @@ const InjectionCase kInjection[] = {
     {"hotspot-mt", 3307290042u, 2136301590u, 3571902285u},
 };
 
+const InjectionCase kInjectionVr15[] = {
+    {"sobel", 2407733408u, 2094731405u, 2191958037u},
+    {"cg", 2461935217u, 1088974428u, 1088974428u},
+    {"k-means", 4065048901u, 644097149u, 1782698582u},
+    {"srad_v1", 689509234u, 2412159367u, 2412159367u},
+    {"hotspot", 1151573251u, 528674369u, 528674369u},
+    {"is", 2092057913u, 2439967123u, 4253947225u},
+    {"mg", 4088441475u, 122985912u, 122985912u},
+    {"k-means-mt", 193153986u, 328569065u, 3319376402u},
+    {"hotspot-mt", 2322396674u, 2136301590u, 2136301590u},
+};
+
 constexpr uint64_t kInjectionRuns = 64;
+
+/**
+ * Whether every one of the cell's runs plans no event, replaying the
+ * planning draws runRange() makes (single-core workloads).
+ */
+bool
+plansNothing(const InjectionCampaign &camp,
+             const models::ErrorModel &model, uint64_t seed)
+{
+    Rng rng(seed);
+    Rng base = rng.split();
+    for (uint64_t i = 0; i < kInjectionRuns; ++i) {
+        Rng r = base.fork(i);
+        double lw = 0.0;
+        if (!model.planWeighted(camp.profile(), r, lw).empty())
+            return false;
+    }
+    return true;
+}
 
 } // namespace
 
@@ -252,7 +287,6 @@ TEST(SimExact, InjectionRecordsArePinned)
     opt.waMaxOps = 700;
     opt.daSampleOps = 700;
     core::Toolflow tf(opt);
-    const double vr = circuit::kVR20;
 
     auto crcOf = [&](const InjectionCampaign &camp,
                      const models::ErrorModel &model) {
@@ -269,14 +303,37 @@ TEST(SimExact, InjectionRecordsArePinned)
         return recordsCrc(recs);
     };
 
-    auto da = tf.daModel(vr);
-    auto ia = tf.iaModel(vr);
-    for (const auto &c : kInjection) {
-        const auto &camp = tf.campaign(c.workload);
-        auto wa = tf.waModel(c.workload, vr);
-        EXPECT_EQ(crcOf(camp, da), c.da) << c.workload << " DA";
-        EXPECT_EQ(crcOf(camp, ia), c.ia) << c.workload << " IA";
-        EXPECT_EQ(crcOf(camp, wa), c.wa) << c.workload << " WA";
+    struct Level
+    {
+        double vr;
+        const char *name;
+        std::span<const InjectionCase> cases;
+    };
+    const Level levels[] = {
+        {circuit::kVR20, "VR20", kInjectionVr20},
+        {circuit::kVR15, "VR15", kInjectionVr15},
+    };
+    int emptyVr15Cells = 0;
+    for (const auto &lv : levels) {
+        auto da = tf.daModel(lv.vr);
+        auto ia = tf.iaModel(lv.vr);
+        for (const auto &c : lv.cases) {
+            const auto &camp = tf.campaign(c.workload);
+            auto wa = tf.waModel(c.workload, lv.vr);
+            EXPECT_EQ(crcOf(camp, da), c.da)
+                << c.workload << " DA " << lv.name;
+            EXPECT_EQ(crcOf(camp, ia), c.ia)
+                << c.workload << " IA " << lv.name;
+            EXPECT_EQ(crcOf(camp, wa), c.wa)
+                << c.workload << " WA " << lv.name;
+            if (lv.vr == circuit::kVR15 && !camp.workload().threaded)
+                emptyVr15Cells += plansNothing(camp, da, opt.seed) +
+                                  plansNothing(camp, ia, opt.seed) +
+                                  plansNothing(camp, wa, opt.seed);
+        }
     }
+    // The VR15 rows must cover the empty-plan path, not only plans
+    // with events.
+    EXPECT_GT(emptyVr15Cells, 0);
     fs::remove_all(root);
 }
