@@ -16,12 +16,13 @@
  * and asserting that the campaign statistics are bit-identical across
  * the whole sweep.
  *
- * `microbench --backend-sweep` races the two DTA backends (the
- * levelized oracle, and the compiled engine at 64, 256 and 512 lanes)
- * through the same random campaign at each REPRO_THREADS count,
- * asserting byte-identical per-instruction CSVs across every cell and
- * >= 56x single-thread compiled throughput over the levelized oracle
- * (the former 5x target over the retired 64-lane interpreter).
+ * `microbench --backend-sweep` races the levelized oracle (a 1-lane
+ * batch runs scalar LevelizedDta) against the compiled engine at 64,
+ * 256 and 512 lanes, through the same random campaign at each
+ * REPRO_THREADS count, asserting byte-identical per-instruction CSVs
+ * across every cell and >= 56x single-thread compiled throughput over
+ * the oracle (the former 5x target over the retired 64-lane
+ * interpreter).
  *
  * `microbench --adaptive-sweep` compares fixed-N against adaptive
  * (confidence-driven) campaign sizing at the same target half-width:
@@ -30,7 +31,7 @@
  * with intervals that contain the fixed-N point estimates.
  *
  * `--json <path>` (with any of the sweeps) additionally writes the
- * machine-readable BENCH_*.json results: per-backend throughput and
+ * machine-readable BENCH_*.json results: per-engine throughput and
  * speedup, and the adaptive sweep's trial savings.
  */
 
@@ -42,6 +43,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/builders.hh"
@@ -506,12 +508,6 @@ runLaneSweep()
     return 0;
 }
 
-struct BackendCell
-{
-    circuit::DtaBackend backend;
-    unsigned lanes;
-};
-
 /**
  * Target for the best compiled cell, as a multiple of the levelized
  * oracle. The target was once >= 5x the 64-lane SWAR interpreter,
@@ -521,26 +517,27 @@ struct BackendCell
  */
 constexpr double kMinCompiledSpeedupVsLevelized = 5.0 * 11.25;
 
-constexpr BackendCell kBackendCells[] = {
-    {circuit::DtaBackend::Levelized, 64},
-    {circuit::DtaBackend::Compiled, 64},
-    {circuit::DtaBackend::Compiled, 256},
-    {circuit::DtaBackend::Compiled, 512},
-};
+/** Lane widths of the sweep; the first, 1, is the levelized oracle. */
+constexpr unsigned kBackendLanes[] = {1, 64, 256, 512};
+
+const char *
+engineName(unsigned lanes)
+{
+    return lanes == 1 ? "levelized" : "compiled";
+}
 
 /**
- * Sustained single-thread DTA samples/s of one backend cell on the
+ * Sustained single-thread DTA samples/s at one lane width on the
  * mul.d unit (the paper's hottest pipeline): repeated
  * FpuUnit::executeBatch calls over pre-packed operand planes, with
  * one warmup batch outside the timed region so program compilation
  * and scratch sizing amortize the way they do in a real campaign.
  */
 double
-measureUnitThroughput(fpu::FpuCore &core, size_t point,
-                      const BackendCell &cell)
+measureUnitThroughput(fpu::FpuCore &core, size_t point, unsigned lanes)
 {
     fpu::FpuUnit &u = core.unit(fpu::FpuUnitKind::MulD);
-    const unsigned W = circuit::CompiledDta::wordsFor(cell.lanes);
+    const unsigned W = circuit::CompiledDta::wordsFor(lanes);
 
     // A pool of pre-packed plane blocks, cycled so consecutive
     // batches see fresh transitions rather than one repeated input.
@@ -549,7 +546,7 @@ measureUnitThroughput(fpu::FpuCore &core, size_t point,
     std::vector<std::vector<uint64_t>> blocks(kBlocks);
     for (auto &planes : blocks) {
         planes.assign(u.stage(0).numInputs() * size_t{W}, 0);
-        for (unsigned l = 0; l < cell.lanes; ++l) {
+        for (unsigned l = 0; l < lanes; ++l) {
             uint64_t a, b;
             timing::randomOperands(fpu::FpuOp::MulD, rng, a, b);
             auto in = u.packInputs(fpu::FpuOp::MulD, a, b);
@@ -559,19 +556,18 @@ measureUnitThroughput(fpu::FpuCore &core, size_t point,
         }
     }
 
-    std::vector<fpu::FpuUnit::Exec> execs(cell.lanes);
+    std::vector<fpu::FpuUnit::Exec> execs(lanes);
     double cap = core.captureTimePs();
     u.reset(point);
-    u.executeBatch(point, blocks[0], cell.lanes, cap, cell.backend,
-                   execs.data());
+    u.executeBatch(point, blocks[0], lanes, cap, execs.data());
 
     auto t0 = std::chrono::steady_clock::now();
     uint64_t done = 0, batch = 0;
     double sec = 0;
     while (sec < 0.3 || batch < 4) {
-        u.executeBatch(point, blocks[batch % kBlocks], cell.lanes,
-                       cap, cell.backend, execs.data());
-        done += cell.lanes;
+        u.executeBatch(point, blocks[batch % kBlocks], lanes, cap,
+                       execs.data());
+        done += lanes;
         ++batch;
         sec = secondsSince(t0);
     }
@@ -580,12 +576,12 @@ measureUnitThroughput(fpu::FpuCore &core, size_t point,
 
 /**
  * Backend sweep, two phases. Phase 1 measures sustained single-thread
- * DTA throughput per backend cell — levelized (the scalar oracle, and
- * the speedup baseline) and the compiled engine at 64/256/512 lanes;
- * the best compiled cell must beat the oracle by
- * kMinCompiledSpeedupVsLevelized. Phase 2 runs
- * the random campaign through every (cell, REPRO_THREADS count) pair
- * and asserts every one renders a byte-identical fig7-style CSV.
+ * DTA throughput per lane width — 1 lane (the levelized scalar oracle,
+ * and the speedup baseline) and the compiled engine at 64/256/512
+ * lanes; the best compiled cell must beat the oracle by
+ * kMinCompiledSpeedupVsLevelized. Phase 2 runs the random campaign
+ * through every (lanes, REPRO_THREADS count) pair and asserts every
+ * one renders a byte-identical fig7-style CSV.
  */
 int
 runBackendSweep()
@@ -597,7 +593,7 @@ runBackendSweep()
 
     std::printf("batched-DTA backend sweep (SIMD: %s)\n",
                 simd::isaName(simd::activeIsa()));
-    std::printf("(each cell sets its backend on the core; "
+    std::printf("(lanes=1 is the levelized oracle; "
                 "REPRO_THREADS=<a,b,c,...>\n selects the identity "
                 "check's thread counts.)\n\n");
 
@@ -610,24 +606,21 @@ runBackendSweep()
     // ---- phase 1: sustained DTA throughput (single thread) ---------
     Table table({"backend", "lanes", "samples/s", "speedup"});
     obs::json::Array rows;
-    double rates[std::size(kBackendCells)];
-    double base = 0, bestCompiled = 0;
-    for (size_t i = 0; i < std::size(kBackendCells); ++i) {
-        rates[i] = measureUnitThroughput(core, point, kBackendCells[i]);
-        if (kBackendCells[i].backend == circuit::DtaBackend::Levelized)
-            base = rates[i];
-    }
-    for (size_t i = 0; i < std::size(kBackendCells); ++i) {
-        const BackendCell &cell = kBackendCells[i];
+    double rates[std::size(kBackendLanes)];
+    for (size_t i = 0; i < std::size(kBackendLanes); ++i)
+        rates[i] = measureUnitThroughput(core, point, kBackendLanes[i]);
+    const double base = rates[0];
+    double bestCompiled = 0;
+    for (size_t i = 0; i < std::size(kBackendLanes); ++i) {
+        const unsigned lanes = kBackendLanes[i];
         double speedup = base > 0 ? rates[i] / base : 0;
-        if (cell.backend == circuit::DtaBackend::Compiled)
+        if (lanes > 1)
             bestCompiled = std::max(bestCompiled, speedup);
-        table.addRow({circuit::dtaBackendName(cell.backend),
-                      std::to_string(cell.lanes),
+        table.addRow({engineName(lanes), std::to_string(lanes),
                       Table::num(rates[i], 0), Table::num(speedup, 2)});
         rows.push_back(obs::json::Object{
-            {"backend", circuit::dtaBackendName(cell.backend)},
-            {"lanes", static_cast<int64_t>(cell.lanes)},
+            {"backend", engineName(lanes)},
+            {"lanes", static_cast<int64_t>(lanes)},
             {"samplesPerSec", rates[i]},
             {"speedupVsLevelized", speedup},
         });
@@ -644,28 +637,24 @@ runBackendSweep()
     std::string refCsv;
     unsigned checked = 0;
     for (unsigned threads : counts) {
-        for (const BackendCell &cell : kBackendCells) {
-            core.setDtaBackend(cell.backend);
+        for (unsigned lanes : kBackendLanes) {
             ThreadPool pool(threads);
             Rng rng(1);
             auto stats = timing::runRandomCampaign(
-                core, point, opsPerType, rng, &pool, nullptr, cell.lanes);
+                core, point, opsPerType, rng, &pool, nullptr, lanes);
             std::string csv = timing::berCsv(stats);
             if (refCsv.empty()) {
                 refCsv = csv;
             } else if (csv != refCsv) {
                 std::printf("FAIL: stats differ at threads=%u "
-                            "backend=%s lanes=%u\n",
-                            threads,
-                            circuit::dtaBackendName(cell.backend),
-                            cell.lanes);
+                            "lanes=%u\n",
+                            threads, lanes);
                 return 1;
             }
             ++checked;
         }
     }
-    core.setDtaBackend(circuit::DtaBackend::Compiled);
-    std::printf("campaign identity: %u (backend, lanes, threads) "
+    std::printf("campaign identity: %u (lanes, threads) "
                 "cells x %llu ops/type,\nall CSVs byte-identical\n",
                 checked,
                 static_cast<unsigned long long>(opsPerType));
@@ -978,6 +967,8 @@ main(int argc, char **argv)
             obs::json::Object report{
                 {"schema", "tea-bench-v1"},
                 {"git", obs::gitDescribe()},
+                {"nproc", static_cast<int64_t>(
+                              std::thread::hardware_concurrency())},
                 {"passed", rc == 0},
             };
             for (auto &kv : gJsonReport)

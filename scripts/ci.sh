@@ -10,7 +10,11 @@
 #      (parallel campaigns, batched DTA at 2 threads, fleet, daemon,
 #      multi-core), proving them free of data races.
 #
-# Passes 1 and 2 run the full suite; any pass failing fails CI.
+# Passes 1 and 2 run the full suite; any pass failing fails CI. Named
+# gates then rerun single labels so a regression shows as its own line:
+# IS calibration, multi-core determinism, cycle-exactness, and the DTA
+# oracle gate (the compiled engine against `lanes = 1`, the levelized
+# oracle), the latter three under both the sanitizer and regular builds.
 #
 # Usage: scripts/ci.sh [jobs]
 set -u
@@ -97,4 +101,15 @@ if ! (cd "$root/build-san" && \
     echo "ci: cycle-exactness gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core + cycle-exactness green)"
+# DTA oracle gate, likewise named: the one production DTA engine
+# (compiled, SIMD-wide batches) held byte-for-byte to the levelized
+# oracle that `lanes = 1` runs, from single batches up to the
+# toolflow's cache files (DESIGN.md §11). Nothing else compares them.
+echo "=== ci: DTA oracle gate (ctest -L tier1dta) ==="
+if ! (cd "$root/build-san" && \
+      ASAN_OPTIONS="detect_leaks=0" ctest -L tier1dta --output-on-failure) \
+   || ! (cd "$root/build" && ctest -L tier1dta --output-on-failure); then
+    echo "ci: DTA oracle gate FAILED"
+    exit 1
+fi
+echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core + cycle-exactness + DTA oracle green)"

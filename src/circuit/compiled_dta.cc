@@ -1,53 +1,9 @@
 #include "circuit/compiled_dta.hh"
 
-#include <cstring>
-
 #include "util/logging.hh"
 #include "util/simd.hh"
 
 namespace tea::circuit {
-
-// ------------------------------------------------------------- backend knob
-
-bool
-parseDtaBackend(const char *s, DtaBackend &out)
-{
-    if (!s)
-        return false;
-    if (std::strcmp(s, "levelized") == 0) {
-        out = DtaBackend::Levelized;
-        return true;
-    }
-    if (std::strcmp(s, "compiled") == 0) {
-        out = DtaBackend::Compiled;
-        return true;
-    }
-    return false;
-}
-
-bool
-dtaBackendFromInt(long long v, DtaBackend &out)
-{
-    if (v != static_cast<int>(DtaBackend::Levelized) &&
-        v != static_cast<int>(DtaBackend::Compiled))
-        return false;
-    out = static_cast<DtaBackend>(v);
-    return true;
-}
-
-const char *
-dtaBackendName(DtaBackend backend)
-{
-    switch (backend) {
-      case DtaBackend::Levelized:
-        return "levelized";
-      case DtaBackend::Compiled:
-        return "compiled";
-    }
-    return "unknown";
-}
-
-// ----------------------------------------------------------------- engine
 
 namespace {
 

@@ -32,24 +32,6 @@
 namespace tea::circuit {
 
 /**
- * Which engine executes batched DTA samples: a per-FpuCore choice
- * (fpu::FpuCore::setDtaBackend), fed from ToolflowOptions. The numeric
- * values are persisted in fleet plans and must stay stable; 1 belonged
- * to a retired engine and is rejected wherever a value is parsed.
- */
-enum class DtaBackend : int
-{
-    Levelized = 0, ///< scalar LevelizedDta loop (the oracle)
-    Compiled = 2,  ///< compiled program, SIMD-wide planes (default)
-};
-
-/** Parse a backend name; returns false (out untouched) on junk. */
-bool parseDtaBackend(const char *s, DtaBackend &out);
-/** Map a persisted numeric value; returns false on an unknown one. */
-bool dtaBackendFromInt(long long v, DtaBackend &out);
-const char *dtaBackendName(DtaBackend backend);
-
-/**
  * Result of one wide batch: `W` 64-bit words per flat output bit,
  * word-major per output (lane l lives in word l/64, bit l%64). Bits at
  * lane positions >= the batch's lane count are unspecified.

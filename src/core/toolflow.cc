@@ -236,15 +236,6 @@ optionsFromEnv()
             opt.mcQuantum = static_cast<unsigned>(v);
         }
     }
-    if (const char *be = std::getenv("REPRO_DTA_BACKEND")) {
-        circuit::DtaBackend b;
-        if (circuit::parseDtaBackend(be, b))
-            opt.dtaBackend = b;
-        else
-            warn("REPRO_DTA_BACKEND='%s' invalid (want "
-                 "levelized|compiled); keeping %s",
-                 be, circuit::dtaBackendName(opt.dtaBackend));
-    }
     opt.threads = ThreadPool::defaultThreads();
     return opt;
 }
@@ -261,10 +252,6 @@ Toolflow::Toolflow(ToolflowOptions opt)
     // Arm REPRO_TRACE / REPRO_METRICS (idempotent; bench mains may
     // already have armed them from --trace/--metrics flags).
     obs::configureFromEnv();
-    // The options struct, not the raw env, decides the batched-DTA
-    // engine — per toolflow, so concurrent campaigns in one process
-    // (the daemon) each keep their own.
-    core_->setDtaBackend(opt_.dtaBackend);
     if (!opt_.cacheDir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(opt_.cacheDir, ec);

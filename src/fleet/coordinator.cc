@@ -442,7 +442,8 @@ fleetOptionsFromEnv()
             static_cast<uint64_t>(std::clamp<int64_t>(v, 0, 1000000));
     if (envI64("REPRO_FLEET_WORKER_THREADS", v))
         fopt.workerThreads =
-            static_cast<unsigned>(std::clamp<int64_t>(v, 0, 1024));
+            static_cast<unsigned>(std::clamp<int64_t>(
+                v, 0, ThreadPool::kMaxThreads));
     return fopt;
 }
 

@@ -14,9 +14,9 @@ planIdentity(const std::string &planBytes)
     auto body = unsealBody(planBytes);
     if (!body)
         return std::nullopt;
-    // Every backend yields byte-identical results, so the engine line
-    // is dropped: switching engines (or upgrading past a retired one)
-    // resumes a spool instead of wiping it.
+    // Plans from earlier builds carry a `dtabackend` line naming the
+    // DTA engine. Every engine gave byte-identical results, so the line
+    // is dropped: such a plan keeps its spool namespace and resumes.
     size_t at = body->find("\ndtabackend ");
     if (at != std::string::npos)
         body->erase(at, body->find('\n', at + 1) - at);
@@ -165,7 +165,6 @@ FleetPlan::serialize() const
     out << "citarget " << fmtDouble(opt.ciTarget) << "\n";
     out << "ciconf " << fmtDouble(opt.ciConf) << "\n";
     out << "maxadaptive " << opt.maxAdaptiveRuns << "\n";
-    out << "dtabackend " << static_cast<int>(opt.dtaBackend) << "\n";
     out << "isenable " << (opt.isEnable ? 1 : 0) << "\n";
     out << "isboost " << fmtDouble(opt.isBoost) << "\n";
     out << "isfloor " << fmtDouble(opt.isFloor) << "\n";
@@ -210,9 +209,14 @@ FleetPlan::parse(const std::string &content)
             p.opt.waMaxOps = toU64(value);
         else if (key == "dasampleops")
             p.opt.daSampleOps = toU64(value);
-        else if (key == "threads")
-            p.opt.threads = static_cast<unsigned>(toU64(value));
-        else if (key == "resume")
+        else if (key == "threads") {
+            // Checked before narrowing: 2^32 + 1 must not wrap to 1,
+            // and no client may size a pool past the env clamp.
+            uint64_t v = toU64(value);
+            if (v > ThreadPool::kMaxThreads)
+                return std::nullopt;
+            p.opt.threads = static_cast<unsigned>(v);
+        } else if (key == "resume")
             p.opt.resume = value == "1";
         else if (key == "deadlinems")
             p.opt.runDeadlineMs = static_cast<int64_t>(toU64(value));
@@ -224,15 +228,7 @@ FleetPlan::parse(const std::string &content)
             p.opt.ciConf = std::strtod(value.c_str(), nullptr);
         else if (key == "maxadaptive")
             p.opt.maxAdaptiveRuns = toU64(value);
-        else if (key == "dtabackend") {
-            // A retired or unknown engine is a malformed plan, never
-            // an out-of-range enum.
-            char *end = nullptr;
-            long long v = std::strtoll(value.c_str(), &end, 10);
-            if (value.empty() || *end != '\0' ||
-                !circuit::dtaBackendFromInt(v, p.opt.dtaBackend))
-                return std::nullopt;
-        } else if (key == "isenable")
+        else if (key == "isenable")
             p.opt.isEnable = value == "1";
         else if (key == "isboost")
             p.opt.isBoost = std::strtod(value.c_str(), nullptr);

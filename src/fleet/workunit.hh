@@ -64,6 +64,10 @@ struct FleetPlan
     int64_t leaseMs = 10000;
 
     std::string serialize() const;
+    /**
+     * nullopt on damaged bytes or a `threads` count above
+     * ThreadPool::kMaxThreads; unknown keys are skipped.
+     */
     static std::optional<FleetPlan> parse(const std::string &content);
 };
 
@@ -81,9 +85,10 @@ struct UnitResult
 
 /**
  * A serialized plan's campaign identity: its unsealed body without
- * the `dtabackend` line, since every DTA engine produces byte-identical
- * results. Plans with equal identities describe the same campaign;
- * nullopt when the bytes are damaged.
+ * the `dtabackend` line that plans from earlier builds carry (every
+ * DTA engine gave byte-identical results). Plans with equal
+ * identities describe the same campaign; nullopt when the bytes are
+ * damaged.
  */
 std::optional<std::string> planIdentity(const std::string &planBytes);
 

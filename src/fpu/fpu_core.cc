@@ -87,7 +87,7 @@ FpuCore::executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,
             if (in[i])
                 planes[i * W + l / 64] |= 1ULL << (l % 64);
     }
-    u.executeBatch(point, planes, lanes, captureTimePs_, backend_, out);
+    u.executeBatch(point, planes, lanes, captureTimePs_, out);
 }
 
 void

@@ -84,20 +84,12 @@ class FpuCore
      * Exec. Every op must run on the same unit; add and sub share one,
      * so a batch may mix them (packInputs sets the sub bit per lane).
      * Bit-identical to `lanes` sequential execute() calls — including
-     * pipeline-history effects — at any lane count and backend (see
-     * FpuUnit::executeBatch for the fallback rules).
+     * pipeline-history effects — at any lane count; `lanes = 1` runs
+     * the scalar LevelizedDta oracle (see FpuUnit::executeBatch for
+     * the fallback rules).
      */
     void executeBatch(size_t point, const FpuOp *ops, const uint64_t *a,
                       const uint64_t *b, unsigned lanes, Exec *out);
-
-    /**
-     * Engine behind executeBatch (default Compiled; Levelized runs
-     * batches as the scalar oracle loop). Results are bit-identical
-     * either way. Set it before campaigns start: it is read, not
-     * synchronized, by concurrent shards.
-     */
-    circuit::DtaBackend dtaBackend() const { return backend_; }
-    void setDtaBackend(circuit::DtaBackend b) { backend_ = b; }
 
     /** Clear pipeline history on every unit. */
     void reset(size_t point);
@@ -123,7 +115,6 @@ class FpuCore
     std::vector<circuit::StaResult> intSta_;
     double clockPs_ = 0.0;
     double captureTimePs_ = 0.0;
-    circuit::DtaBackend backend_ = circuit::DtaBackend::Compiled;
 };
 
 } // namespace tea::fpu

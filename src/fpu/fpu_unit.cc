@@ -170,17 +170,10 @@ FpuUnit::ensureCompiledEngines(Point &pt, double captureTimePs)
 void
 FpuUnit::executeBatch(size_t point,
                       const std::vector<uint64_t> &stage0Planes,
-                      unsigned lanes, double captureTimePs,
-                      circuit::DtaBackend backend, Exec *out)
+                      unsigned lanes, double captureTimePs, Exec *out)
 {
     panic_if(point >= points_.size(), "bad operating point %zu", point);
     Point &pt = points_[point];
-
-    static obs::Gauge gBackend = obs::Registry::global().gauge(
-        obs::metric::kDtaBackend, "",
-        "batched-DTA backend of the latest batch (0=levelized "
-        "2=compiled)");
-    gBackend.set(static_cast<int64_t>(backend));
 
     panic_if(lanes == 0 || lanes > circuit::CompiledDta::kMaxLanes,
              "executeBatch: bad lane count %u", lanes);
@@ -189,11 +182,10 @@ FpuUnit::executeBatch(size_t point,
                  stages_.front()->numInputs() * size_t{W},
              "executeBatch: bad stage-0 plane count");
 
-    if (pt.exact || lanes == 1 ||
-        backend == circuit::DtaBackend::Levelized) {
-        // Scalar fallback: exact points have no batch engines, a
-        // single lane gains nothing from plane packing, and the
-        // levelized backend is by definition the scalar oracle loop.
+    if (pt.exact || lanes == 1) {
+        // Scalar fallback: exact points have no batch engines, and a
+        // single lane gains nothing from plane packing — which makes
+        // `lanes = 1` the levelized oracle every batch is tested to.
         std::vector<bool> in(stages_.front()->numInputs());
         for (unsigned l = 0; l < lanes; ++l) {
             for (size_t i = 0; i < in.size(); ++i)

@@ -92,30 +92,28 @@ class FpuUnit
                  double captureTimePs);
 
     /**
-     * Execute up to 512 operations at once: through the compiled
-     * program engine (circuit::CompiledDta) on the Compiled backend,
-     * or as a scalar LevelizedDta loop on the Levelized one.
-     * stage0Planes holds circuit::CompiledDta::wordsFor(lanes)
-     * uint64_t words per stage-0 input net, input-major; lane l is
-     * operation l's input, and out[l] receives its Exec. Operations
-     * behave exactly as `lanes` sequential execute() calls: lane l's
-     * pipeline history is lane l-1's stage inputs (lane 0 continues
-     * from the point's stored history), and after the batch the
-     * history holds the last lane's inputs — results are bit-identical
-     * to the scalar path at every backend and lane width, except that
-     * Exec::maxArrivalPs is computed over the capture-risky cone only
-     * (exact for every op with a timing error, a lower bound for
-     * error-free ops; see circuit::WideBatch). Exact (event-driven)
-     * operating points and single-lane batches fall back to scalar
-     * execute() calls internally.
+     * Execute up to 512 operations at once through the compiled
+     * program engine (circuit::CompiledDta). stage0Planes holds
+     * circuit::CompiledDta::wordsFor(lanes) uint64_t words per stage-0
+     * input net, input-major; lane l is operation l's input, and
+     * out[l] receives its Exec. Operations behave exactly as `lanes`
+     * sequential execute() calls: lane l's pipeline history is lane
+     * l-1's stage inputs (lane 0 continues from the point's stored
+     * history), and after the batch the history holds the last lane's
+     * inputs — results are bit-identical to the scalar path at every
+     * lane width, except that Exec::maxArrivalPs is computed over the
+     * capture-risky cone only (exact for every op with a timing error,
+     * a lower bound for error-free ops; see circuit::WideBatch). Exact
+     * (event-driven) operating points and single-lane batches run as
+     * scalar execute() calls, so `lanes = 1` is the LevelizedDta
+     * oracle.
      *
      * Same concurrency contract as execute(): concurrent calls are
      * safe iff they target distinct operating points.
      */
     void executeBatch(size_t point,
                       const std::vector<uint64_t> &stage0Planes,
-                      unsigned lanes, double captureTimePs,
-                      circuit::DtaBackend backend, Exec *out);
+                      unsigned lanes, double captureTimePs, Exec *out);
 
     /** Forget the pipeline history at an operating point. */
     void reset(size_t point);
@@ -139,8 +137,8 @@ class FpuUnit
         std::vector<std::unique_ptr<circuit::DtaEngine>> engines;
         /**
          * Per-stage compiled engines, created (and their netlists
-         * lowered) on the first batch the compiled backend executes
-         * at this point — points never routed there pay nothing.
+         * lowered) on the first multi-lane batch at this point —
+         * points never batched pay nothing.
          */
         std::vector<std::unique_ptr<circuit::CompiledDta>>
             compiledEngines;

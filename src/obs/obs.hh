@@ -66,7 +66,6 @@ inline constexpr const char *kDtaLaneBatches =
 inline constexpr const char *kDtaLaneFallbackOps =
     "tea_dta_lane_fallback_ops_total";
 inline constexpr const char *kDtaCompileMs = "tea_dta_compile_ms";
-inline constexpr const char *kDtaBackend = "tea_dta_backend";
 // ---- importance sampling / surrogate -------------------------------
 inline constexpr const char *kIsRuns = "tea_is_runs_total";
 inline constexpr const char *kIsEssRatio = "tea_is_ess_ratio";

@@ -2,7 +2,7 @@
  * @file
  * Runtime SIMD instruction-set selection for the wide DTA planes.
  *
- * The compiled DTA backend ships the same plane-sweep kernels three
+ * The compiled DTA engine ships the same plane-sweep kernels three
  * times: a portable uint64 build, an AVX2 build, and an AVX-512 build
  * (translation units compiled with the matching -m flags when the
  * CMake option TEA_SIMD is on and the compiler supports them). This

@@ -148,10 +148,8 @@ ThreadPool::defaultThreads()
         bool clean = end != env && (*end == '\0' || *end == ',') &&
                      errno != ERANGE;
         if (clean && n > 0) {
-            constexpr long kMaxThreads = 1024;
-            if (n > kMaxThreads) {
-                warn("clamping REPRO_THREADS=%ld to %ld", n,
-                     kMaxThreads);
+            if (n > long{kMaxThreads}) {
+                warn("clamping REPRO_THREADS=%ld to %u", n, kMaxThreads);
                 n = kMaxThreads;
             }
             return static_cast<unsigned>(n);

@@ -33,6 +33,12 @@ class ThreadPool
 {
   public:
     /**
+     * Largest worker count any configuration may ask for: REPRO_THREADS
+     * is clamped to it, and a fleet plan asking for more is malformed.
+     */
+    static constexpr unsigned kMaxThreads = 1024;
+
+    /**
      * @param threads worker count including the caller; 0 selects
      *        defaultThreads() (REPRO_THREADS or hardware concurrency).
      */

@@ -241,42 +241,3 @@ TEST(OptionsFromEnv, Overrides)
     EXPECT_EQ(opt2.runsPerCell, inject::kStatisticalRuns);
     unsetenv("REPRO_FULL");
 }
-
-TEST(OptionsFromEnv, DtaBackendParsedAndHardened)
-{
-    unsetenv("REPRO_DTA_BACKEND");
-    EXPECT_EQ(optionsFromEnv().dtaBackend,
-              circuit::DtaBackend::Compiled);
-
-    setenv("REPRO_DTA_BACKEND", "compiled", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend,
-              circuit::DtaBackend::Compiled);
-    setenv("REPRO_DTA_BACKEND", "levelized", 1);
-    EXPECT_EQ(optionsFromEnv().dtaBackend,
-              circuit::DtaBackend::Levelized);
-
-    // Malformed values — and the retired "lane" engine — warn and
-    // keep the default instead of silently selecting some engine.
-    for (const char *junk : {"jit", "lane"}) {
-        setenv("REPRO_DTA_BACKEND", junk, 1);
-        EXPECT_EQ(optionsFromEnv().dtaBackend,
-                  circuit::DtaBackend::Compiled)
-            << junk;
-    }
-    unsetenv("REPRO_DTA_BACKEND");
-}
-
-TEST(Toolflow, CtorAppliesDtaBackendOption)
-{
-    // The backend lands on the toolflow's own core: two toolflows in
-    // one process keep independent engines.
-    ToolflowOptions opt;
-    opt.cacheDir.clear();
-    opt.dtaBackend = circuit::DtaBackend::Levelized;
-    Toolflow oracle(opt);
-    opt.dtaBackend = circuit::DtaBackend::Compiled;
-    Toolflow fast(opt);
-    EXPECT_EQ(oracle.fpuCore().dtaBackend(),
-              circuit::DtaBackend::Levelized);
-    EXPECT_EQ(fast.fpuCore().dtaBackend(), circuit::DtaBackend::Compiled);
-}

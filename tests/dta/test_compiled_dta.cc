@@ -1,13 +1,14 @@
 /**
- * Compiled-backend DTA equivalence suite (ctest label tier1dta).
+ * Compiled-engine DTA equivalence suite (ctest label tier1dta).
  *
  * The contract under test: the compiled SIMD-wide engine reproduces
  * the scalar levelized oracle bit-for-bit — settled values, captured
  * values, error masks, golden evaluations and (per its cone-only
  * contract) dynamic arrivals — on randomized DAGs over the full cell
  * library, at every lane width from 1 to 512, at every compiled ISA
- * level, and through whole campaigns across backend x lane-width x
- * thread-count. Also pins the backend knob semantics.
+ * level, and through whole campaigns across lane-width x
+ * thread-count, against `lanes = 1` (every op through the scalar
+ * LevelizedDta oracle) as the reference.
  */
 
 #include <gtest/gtest.h>
@@ -385,48 +386,38 @@ TEST(CompiledDta, IsaLevelsBitIdentical)
     simd::resetActiveIsa();
 }
 
-TEST(CompiledDta, CampaignInvariantAcrossBackendLanesThreads)
+TEST(CompiledDta, CampaignInvariantAcrossLanesThreads)
 {
-    // Whole-campaign identity: every backend x lane-width x thread
-    // combination accumulates byte-identical statistics (and so a
-    // byte-identical BER CSV). kDtaShardOps ops/type fills exactly one
-    // shard, so the 256/512-lane cells genuinely form wide batches.
+    // Whole-campaign identity: every lane-width x thread combination
+    // accumulates byte-identical statistics (and so a byte-identical
+    // BER CSV). kDtaShardOps ops/type fills exactly one shard, so the
+    // 256/512-lane cells genuinely form wide batches.
     auto &c = core();
     size_t pt = vr20Point();
     constexpr uint64_t kPerOp = kDtaShardOps;
 
-    auto run = [&](DtaBackend backend, unsigned lanes,
-                   unsigned threads) {
-        c.setDtaBackend(backend);
+    auto run = [&](unsigned lanes, unsigned threads) {
         ThreadPool pool(threads);
         Rng rng(42);
-        auto stats = runRandomCampaign(c, pt, kPerOp, rng, &pool,
-                                       nullptr, lanes);
-        c.setDtaBackend(DtaBackend::Compiled);
-        return stats;
+        return runRandomCampaign(c, pt, kPerOp, rng, &pool, nullptr,
+                                 lanes);
     };
 
     // Reference: the levelized oracle, one op at a time.
-    auto ref = run(DtaBackend::Levelized, 1, 1);
+    auto ref = run(1, 1);
     EXPECT_EQ(ref.totalOps(), kPerOp * fpu::kNumFpuOps);
     EXPECT_GT(ref.totalFaulty(), 0u);
 
     struct Config
     {
-        DtaBackend backend;
         unsigned lanes, threads;
     };
-    for (Config cfg : {Config{DtaBackend::Levelized, 64, 1},
-                       Config{DtaBackend::Levelized, 64, 2},
-                       Config{DtaBackend::Compiled, 64, 1},
-                       Config{DtaBackend::Compiled, 256, 1},
-                       Config{DtaBackend::Compiled, 512, 1},
-                       Config{DtaBackend::Compiled, 512, 2}}) {
-        auto got = run(cfg.backend, cfg.lanes, cfg.threads);
+    for (Config cfg : {Config{1, 2}, Config{64, 1}, Config{256, 1},
+                       Config{512, 1}, Config{512, 2}}) {
+        auto got = run(cfg.lanes, cfg.threads);
         char what[64];
-        std::snprintf(what, sizeof(what), "%s lanes=%u threads=%u",
-                      dtaBackendName(cfg.backend), cfg.lanes,
-                      cfg.threads);
+        std::snprintf(what, sizeof(what), "lanes=%u threads=%u",
+                      cfg.lanes, cfg.threads);
         expectIdenticalStats(got, ref, what);
     }
 }
@@ -455,72 +446,22 @@ TEST(CompiledDta, PortableFallbackCampaignCsvIdentical)
     expectIdenticalStats(portable, best, "portable vs best ISA");
 }
 
-TEST(DtaBackendKnob, ParseNamesAndRejectJunk)
-{
-    DtaBackend b = DtaBackend::Compiled;
-    EXPECT_TRUE(parseDtaBackend("levelized", b));
-    EXPECT_EQ(b, DtaBackend::Levelized);
-    EXPECT_TRUE(parseDtaBackend("compiled", b));
-    EXPECT_EQ(b, DtaBackend::Compiled);
-
-    b = DtaBackend::Compiled;
-    EXPECT_FALSE(parseDtaBackend("lane", b)); // the retired engine
-    EXPECT_FALSE(parseDtaBackend("jit", b));
-    EXPECT_FALSE(parseDtaBackend("", b));
-    EXPECT_FALSE(parseDtaBackend("compiled ", b));
-    EXPECT_EQ(b, DtaBackend::Compiled); // junk leaves out untouched
-
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Levelized), "levelized");
-    EXPECT_STREQ(dtaBackendName(DtaBackend::Compiled), "compiled");
-}
-
-TEST(DtaBackendKnob, PersistedValuesAreStableAndValidated)
-{
-    // Fleet plans persist the numeric value: 0 and 2 keep their
-    // meaning, and the retired 1 (or anything else) is refused.
-    EXPECT_EQ(static_cast<int>(DtaBackend::Levelized), 0);
-    EXPECT_EQ(static_cast<int>(DtaBackend::Compiled), 2);
-    DtaBackend b = DtaBackend::Compiled;
-    EXPECT_TRUE(dtaBackendFromInt(0, b));
-    EXPECT_EQ(b, DtaBackend::Levelized);
-    EXPECT_TRUE(dtaBackendFromInt(2, b));
-    EXPECT_EQ(b, DtaBackend::Compiled);
-    for (long long junk : {1LL, -1LL, 3LL, 1LL << 40})
-        EXPECT_FALSE(dtaBackendFromInt(junk, b)) << junk;
-    EXPECT_EQ(b, DtaBackend::Compiled);
-}
-
-TEST(DtaBackendKnob, BackendIsPerCoreAndDefaultsToCompiled)
-{
-    // The choice lives on the core, so two cores in one process (two
-    // daemon campaigns) never see each other's setting.
-    fpu::FpuCore a, b;
-    EXPECT_EQ(a.dtaBackend(), DtaBackend::Compiled);
-    a.setDtaBackend(DtaBackend::Levelized);
-    EXPECT_EQ(a.dtaBackend(), DtaBackend::Levelized);
-    EXPECT_EQ(b.dtaBackend(), DtaBackend::Compiled);
-}
-
-TEST(DtaBackendKnob, FullWidthOnEveryBackendInOneProcess)
+TEST(CompiledDta, FullWidthAndOracleInOneProcess)
 {
     // Regression: the batch width used to be a process-global cached
-    // against whichever backend was active first, so a full-width
-    // campaign followed by a backend switch handed the new engine a
-    // width above its ceiling. Width is now a per-call argument with
-    // one ceiling, and every order of backends runs to completion.
+    // against whichever engine ran first, so a full-width campaign
+    // followed by an engine switch handed the new engine a width above
+    // its ceiling. Width is now a per-call argument with one ceiling,
+    // and full-width and oracle campaigns interleave in any order.
     auto &c = core();
     size_t pt = vr20Point();
-    auto run = [&](DtaBackend backend) {
-        c.setDtaBackend(backend);
+    auto run = [&](unsigned lanes) {
         Rng rng(47);
-        auto stats = runRandomCampaign(c, pt, kDtaShardOps, rng, nullptr,
-                                       nullptr, CompiledDta::kMaxLanes);
-        c.setDtaBackend(DtaBackend::Compiled);
-        return stats;
+        return runRandomCampaign(c, pt, kDtaShardOps, rng, nullptr,
+                                 nullptr, lanes);
     };
-    auto first = run(DtaBackend::Compiled);
-    expectIdenticalStats(run(DtaBackend::Levelized), first,
-                         "levelized after compiled");
-    expectIdenticalStats(run(DtaBackend::Compiled), first,
-                         "compiled after levelized");
+    auto first = run(CompiledDta::kMaxLanes);
+    expectIdenticalStats(run(1), first, "lanes=1 after full width");
+    expectIdenticalStats(run(CompiledDta::kMaxLanes), first,
+                         "full width after lanes=1");
 }

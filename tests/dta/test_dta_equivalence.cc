@@ -448,22 +448,18 @@ TEST(DtaUnitGrouping, InterleavedTraceMatchesScalarOracle)
     cfg.ciTarget = 0.001;
     cfg.maxPerStratum = trace.size();
 
-    auto run = [&](circuit::DtaBackend backend, unsigned lanes,
-                   unsigned threads, bool adaptive) {
-        c.setDtaBackend(backend);
+    auto run = [&](unsigned lanes, unsigned threads, bool adaptive) {
         ThreadPool pool(threads);
-        auto stats =
-            adaptive ? runAdaptiveTraceCampaign(c, pt, trace,
-                                                trace.size(), cfg, &pool,
-                                                nullptr, lanes)
-                     : runTraceCampaign(c, pt, trace, trace.size(),
-                                        &pool, nullptr, lanes);
-        c.setDtaBackend(circuit::DtaBackend::Compiled);
-        return stats;
+        return adaptive ? runAdaptiveTraceCampaign(c, pt, trace,
+                                                   trace.size(), cfg,
+                                                   &pool, nullptr, lanes)
+                        : runTraceCampaign(c, pt, trace, trace.size(),
+                                           &pool, nullptr, lanes);
     };
 
     for (bool adaptive : {false, true}) {
-        auto ref = run(circuit::DtaBackend::Levelized, 1, 1, adaptive);
+        // lanes = 1 runs every op through the scalar LevelizedDta.
+        auto ref = run(1, 1, adaptive);
         EXPECT_EQ(ref.totalOps(), trace.size());
         EXPECT_GT(ref.totalFaulty(), 0u);
         for (unsigned lanes : {1u, 2u, 3u, 63u, 64u, 65u, 512u}) {
@@ -473,10 +469,8 @@ TEST(DtaUnitGrouping, InterleavedTraceMatchesScalarOracle)
                               "%s lanes=%u threads=%u",
                               adaptive ? "adaptive" : "fixed", lanes,
                               threads);
-                expectIdenticalStats(
-                    run(circuit::DtaBackend::Compiled, lanes, threads,
-                        adaptive),
-                    ref, what);
+                expectIdenticalStats(run(lanes, threads, adaptive), ref,
+                                     what);
             }
         }
     }

@@ -228,24 +228,28 @@ TEST(FleetFormats, PlanRoundTripIsExact)
     EXPECT_EQ(parsed->leaseMs, 777);
 }
 
-TEST(FleetFormats, PlanRejectsUnknownDtaBackend)
+TEST(FleetFormats, PlanRejectsOversizedThreadCount)
 {
+    // A plan sizes the pool of whoever runs it (the daemon included),
+    // so `threads` is bounded like REPRO_THREADS, and checked before
+    // narrowing: 2^32 + 1 must not wrap to 1. 0 still means default.
     FleetPlan plan;
     plan.opt = tinyOptions("/tmp/cache");
     plan.spec = tinySpec();
-    for (auto backend : {circuit::DtaBackend::Levelized,
-                         circuit::DtaBackend::Compiled}) {
-        plan.opt.dtaBackend = backend;
+    for (unsigned ok : {0u, 4u, ThreadPool::kMaxThreads}) {
+        plan.opt.threads = ok;
         auto parsed = FleetPlan::parse(plan.serialize());
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(parsed->opt.dtaBackend, backend);
+        ASSERT_TRUE(parsed.has_value()) << ok;
+        EXPECT_EQ(parsed->opt.threads, ok);
     }
-    // The retired engine's value 1, or any other, is a malformed plan
-    // — a clean parse failure, never an out-of-range enum.
-    for (int junk : {1, 3, -1}) {
-        plan.opt.dtaBackend = static_cast<circuit::DtaBackend>(junk);
-        EXPECT_FALSE(FleetPlan::parse(plan.serialize()).has_value())
-            << junk;
+    std::string body = *unsealBody(plan.serialize());
+    const size_t at = body.find("\nthreads ") + 1;
+    const size_t eol = body.find('\n', at);
+    for (const char *junk : {"1025", "4294967297", "18446744073709551615",
+                             "99999999999999999999999"}) {
+        std::string bad = body;
+        bad.replace(at, eol - at, std::string("threads ") + junk);
+        EXPECT_FALSE(FleetPlan::parse(sealBody(bad)).has_value()) << junk;
     }
 }
 
@@ -367,49 +371,54 @@ TEST(FleetQueue, RepublishRejectsStaleCampaignState)
     fs::remove_all(dir);
 }
 
-TEST(FleetQueue, DtaEngineIsNotPartOfCampaignIdentity)
+TEST(FleetQueue, LegacyEnginePlansKeepTheirSpool)
 {
-    std::string dir = "/tmp/tea_fleet_test_engine";
+    // Builds that still had a DTA engine choice wrote a `dtabackend`
+    // line (0 levelized, 1 the retired lane engine, 2 compiled) after
+    // `maxadaptive`. Such a plan must parse, hash to the same campaign
+    // identity and spool namespace as today's plan, and resume a spool
+    // it published, so daemon campaigns keep their c<8hex> spool
+    // across the upgrade.
+    std::string dir = "/tmp/tea_fleet_test_upgrade";
     fs::remove_all(dir);
-    WorkQueue q(dir);
     FleetPlan plan{tinyOptions(dir), tinySpec()};
-    plan.opt.dtaBackend = circuit::DtaBackend::Levelized;
-    FleetPlan compiled = plan;
-    compiled.opt.dtaBackend = circuit::DtaBackend::Compiled;
-    EXPECT_EQ(spoolNamespace(plan), spoolNamespace(compiled));
-    EXPECT_EQ(planIdentity(plan.serialize()),
-              planIdentity(compiled.serialize()));
+    // Computed on the last build that wrote `dtabackend`.
+    EXPECT_EQ(spoolNamespace(plan), "ce8e19158");
     FleetPlan reseeded = plan;
     reseeded.opt.seed += 1;
     EXPECT_NE(spoolNamespace(plan), spoolNamespace(reseeded));
 
+    const std::string current = plan.serialize();
+    std::string body = *unsealBody(current);
+    size_t at = body.find("\nmaxadaptive ");
+    ASSERT_NE(at, std::string::npos);
+    at = body.find('\n', at + 1) + 1;
     WorkUnit u0;
     u0.id = 0;
     UnitResult done;
     done.unit = 0;
     done.result.runs = 6;
-    ASSERT_TRUE(q.publish(plan, {u0}));
-    ASSERT_TRUE(q.markDone(done));
+    for (const char *engine : {"0", "1", "2"}) {
+        std::string legacyBody = body;
+        legacyBody.insert(at, std::string("dtabackend ") + engine + "\n");
+        const std::string legacy = sealBody(legacyBody);
 
-    // Switching engines resumes the spool: results are identical.
-    ASSERT_TRUE(q.publish(compiled, {u0}));
-    EXPECT_TRUE(q.isDone(0));
-    auto loaded = q.loadPlan();
-    ASSERT_TRUE(loaded.has_value());
-    EXPECT_EQ(loaded->opt.dtaBackend, circuit::DtaBackend::Compiled);
+        auto parsed = FleetPlan::parse(legacy);
+        ASSERT_TRUE(parsed.has_value()) << engine;
+        EXPECT_EQ(parsed->serialize(), current) << engine;
+        EXPECT_EQ(planIdentity(legacy), planIdentity(current)) << engine;
+        EXPECT_EQ(spoolNamespace(*parsed), spoolNamespace(plan)) << engine;
 
-    // So does a plan file naming the retired engine (value 1), which
-    // no longer parses: the identity check never parses it, and the
-    // publish replaces it with a plan workers can load.
-    std::string body = *unsealBody(compiled.serialize());
-    size_t at = body.find("dtabackend 2\n");
-    ASSERT_NE(at, std::string::npos);
-    body.replace(at, 13, "dtabackend 1\n");
-    ASSERT_TRUE(atomicWriteFile(q.planPath(), sealBody(body)));
-    ASSERT_FALSE(q.loadPlan().has_value());
-    ASSERT_TRUE(q.publish(compiled, {u0}));
-    EXPECT_TRUE(q.isDone(0));
-    EXPECT_TRUE(q.loadPlan().has_value());
+        // A spool the earlier build published with that plan resumes.
+        fs::remove_all(dir);
+        WorkQueue q(dir);
+        ASSERT_TRUE(q.publish(plan, {u0}));
+        ASSERT_TRUE(q.markDone(done));
+        ASSERT_TRUE(atomicWriteFile(q.planPath(), legacy));
+        ASSERT_TRUE(q.loadPlan().has_value()) << engine;
+        ASSERT_TRUE(q.publish(plan, {u0}));
+        EXPECT_TRUE(q.isDone(0)) << engine;
+    }
     fs::remove_all(dir);
 }
 

@@ -324,22 +324,31 @@ TEST(ServiceScheduler, DedupAttachesIdenticalPlans)
     fs::remove_all(dir);
 }
 
-TEST(ServiceScheduler, UnknownDtaBackendIsBadRequest)
+TEST(ServiceScheduler, OversizedThreadCountIsBadRequest)
 {
-    std::string dir = "/tmp/tea_svc_test_backend";
+    // A SUBMIT frame must not size the daemon's thread pools past the
+    // REPRO_THREADS clamp; 2^32 + 1 must not wrap to a valid count.
+    // The scheduler stays paused, so no campaign (and no pool) starts.
+    std::string dir = "/tmp/tea_svc_test_threads";
     fs::remove_all(dir);
     fs::create_directories(dir);
     Scheduler sched(schedulerOptions(dir));
     sched.setPaused(true);
-    fleet::FleetPlan plan = tinyPlan(dir);
-    // 1 was the retired lane engine; it must be rejected at admission
-    // like any other malformed plan.
-    for (int junk : {1, 5}) {
-        plan.opt.dtaBackend = static_cast<circuit::DtaBackend>(junk);
-        auto r = sched.submit(plan.serialize(), "alice");
+    const std::string body = *fleet::unsealBody(tinyPlan(dir).serialize());
+    const size_t at = body.find("\nthreads ") + 1;
+    const size_t eol = body.find('\n', at);
+    auto withThreads = [&](const std::string &n) {
+        std::string b = body;
+        b.replace(at, eol - at, "threads " + n);
+        return fleet::sealBody(b);
+    };
+    for (const char *junk : {"1025", "4294967297"}) {
+        auto r = sched.submit(withThreads(junk), "alice");
         EXPECT_FALSE(r.accepted) << junk;
         EXPECT_EQ(r.rej.code, service::ErrorCode::BadRequest) << junk;
     }
+    EXPECT_TRUE(sched.submit(withThreads("4"), "alice").accepted);
+    sched.stop();
     fs::remove_all(dir);
 }
 
