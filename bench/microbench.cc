@@ -22,7 +22,7 @@
  * REPRO_THREADS count, asserting byte-identical per-instruction CSVs
  * across every cell and >= 56x single-thread compiled throughput over
  * the oracle (the former 5x target over the retired 64-lane
- * interpreter).
+ * interpreter), each cell's rate the best of 5 timed windows.
  *
  * `microbench --adaptive-sweep` compares fixed-N against adaptive
  * (confidence-driven) campaign sizing at the same target half-width:
@@ -37,6 +37,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -203,6 +204,26 @@ BM_FuncSimSobel(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_FuncSimSobel);
+
+/** The functional simulator's N-core case: k-means-mt on 2 cores. */
+static void
+BM_FuncSimKmeansMt(benchmark::State &state)
+{
+    auto w = workloads::buildWorkload("k-means-mt", 1);
+    sim::FuncSim::Config cfg;
+    cfg.cores = 2;
+    uint64_t instr = 0;
+    for (auto _ : state) {
+        sim::FuncSim sim(w.program, cfg);
+        auto r = sim.run();
+        instr = r.instructions;
+        benchmark::DoNotOptimize(r);
+    }
+    state.counters["instr/s"] = benchmark::Counter(
+        static_cast<double>(instr) * state.iterations(),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_FuncSimKmeansMt);
 
 /** Golden OoO runs of one workload; committed instructions per second. */
 static void
@@ -575,10 +596,17 @@ measureUnitThroughput(fpu::FpuCore &core, size_t point, unsigned lanes)
 }
 
 /**
+ * Timed windows per lane width in the sweep; each cell reports its
+ * best, so the gate reads the code's speed rather than host noise.
+ */
+constexpr int kThroughputWindows = 5;
+
+/**
  * Backend sweep, two phases. Phase 1 measures sustained single-thread
  * DTA throughput per lane width — 1 lane (the levelized scalar oracle,
  * and the speedup baseline) and the compiled engine at 64/256/512
- * lanes; the best compiled cell must beat the oracle by
+ * lanes, each the best of kThroughputWindows interleaved windows; the
+ * best compiled cell must beat the oracle by
  * kMinCompiledSpeedupVsLevelized. Phase 2 runs the random campaign
  * through every (lanes, REPRO_THREADS count) pair and asserts every
  * one renders a byte-identical fig7-style CSV.
@@ -606,9 +634,14 @@ runBackendSweep()
     // ---- phase 1: sustained DTA throughput (single thread) ---------
     Table table({"backend", "lanes", "samples/s", "speedup"});
     obs::json::Array rows;
-    double rates[std::size(kBackendLanes)];
-    for (size_t i = 0; i < std::size(kBackendLanes); ++i)
-        rates[i] = measureUnitThroughput(core, point, kBackendLanes[i]);
+    // Windows interleave over the cells, so a noisy stretch of the
+    // host lowers one window of every cell rather than a whole cell.
+    double rates[std::size(kBackendLanes)] = {};
+    for (int w = 0; w < kThroughputWindows; ++w)
+        for (size_t i = 0; i < std::size(kBackendLanes); ++i)
+            rates[i] = std::max(rates[i],
+                                measureUnitThroughput(core, point,
+                                                      kBackendLanes[i]));
     const double base = rates[0];
     double bestCompiled = 0;
     for (size_t i = 0; i < std::size(kBackendLanes); ++i) {

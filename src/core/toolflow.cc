@@ -11,7 +11,6 @@
 #include <mutex>
 #include <set>
 
-#include "mc/mc_func_sim.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
@@ -742,28 +741,17 @@ Toolflow::trace(const std::string &name)
     auto it = traces_.find(name);
     if (it == traces_.end()) {
         const auto &w = workload(name);
+        // Threaded workloads trace on N cores; entries merge in the
+        // deterministic interleave order, so the trace is a pure
+        // function of (workload, cores).
+        sim::FuncSim::Config fcfg;
+        fcfg.cores = w.threaded ? opt_.mcCores : 1;
+        sim::FuncSim sim(w.program, fcfg);
         std::vector<sim::FpTraceEntry> tr;
-        if (w.threaded) {
-            // Threaded workloads trace on the N-core functional
-            // simulator; entries merge in the deterministic
-            // interleave order, so the trace is a pure function of
-            // (workload, cores).
-            mc::McFuncSim::Config fcfg;
-            fcfg.cores = opt_.mcCores;
-            mc::McFuncSim msim(w.program, fcfg);
-            msim.setFpTrace(&tr);
-            auto mres = msim.run();
-            fatal_if(mres.status != mc::McFuncSim::Status::Halted,
-                     "workload '%s' did not halt while tracing",
-                     name.c_str());
-        } else {
-            sim::FuncSim sim(w.program);
-            sim.setFpTrace(&tr);
-            auto res = sim.run();
-            fatal_if(res.status != sim::FuncSim::Status::Halted,
-                     "workload '%s' did not halt while tracing",
-                     name.c_str());
-        }
+        sim.setFpTrace(&tr);
+        auto res = sim.run();
+        fatal_if(res.status != sim::FuncSim::Status::Halted,
+                 "workload '%s' did not halt while tracing", name.c_str());
         it = traces_.emplace(name, std::move(tr)).first;
     }
     return it->second;

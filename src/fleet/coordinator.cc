@@ -20,6 +20,7 @@
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
+#include "util/env.hh"
 #include "util/fsatomic.hh"
 #include "util/logging.hh"
 #include "util/watchdog.hh"
@@ -32,23 +33,6 @@ using core::GridSpec;
 using core::ToolflowOptions;
 
 namespace {
-
-bool
-envI64(const char *name, int64_t &out)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0') {
-        warn("ignoring malformed %s='%s'", name, v);
-        return false;
-    }
-    out = parsed;
-    return true;
-}
 
 /** All work units of a campaign, in canonical (plan) order. */
 std::vector<WorkUnit>

@@ -7,7 +7,6 @@
 #include <limits>
 
 #include "isa/isa.hh"
-#include "mc/mc_func_sim.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
@@ -197,40 +196,33 @@ InjectionCampaign::create(workloads::Workload workload,
 Error
 InjectionCampaign::prepare()
 {
-    if (workload_.threaded) {
-        try {
-            // Per-core profiles from the functional N-core run: model
-            // planning addresses "the n-th eligible op on core k", so
-            // each core needs its own dynamic op counts.
-            mc::McFuncSim::Config fcfg;
-            fcfg.cores = mcCfg_.cores;
-            mc::McFuncSim fsim(workload_.program, fcfg);
-            auto fres = fsim.run();
-            if (fres.status != mc::McFuncSim::Status::Halted)
-                return makeError(
-                    ErrorCode::GoldenRunFailed,
-                    "workload '%s' golden mc run did not halt (%s)",
-                    workload_.name.c_str(), sim::trapName(fres.trap));
-            coreProfiles_.assign(fsim.cores(), {});
-            profile_ = {};
-            for (unsigned k = 0; k < fsim.cores(); ++k) {
-                ProgramProfile &p = coreProfiles_[k];
-                p.totalInstructions = fsim.instructions(k);
-                for (unsigned i = 0; i < isa::kNumOps; ++i) {
-                    auto op = static_cast<isa::Op>(i);
-                    if (isa::hasDest(op))
-                        p.instructionsWithDest += fsim.opCount(k, op);
-                    if (isa::isFpArith(op))
-                        p.fpOpCounts[static_cast<size_t>(
-                            isa::fpuOpFor(op))] += fsim.opCount(k, op);
-                }
-                profile_.totalInstructions += p.totalInstructions;
-                profile_.instructionsWithDest += p.instructionsWithDest;
-                for (size_t j = 0; j < p.fpOpCounts.size(); ++j)
-                    profile_.fpOpCounts[j] += p.fpOpCounts[j];
-            }
+    try {
+        // Per-core profiles from a fast functional run: model planning
+        // addresses "the n-th eligible op on core k", so each core
+        // needs its own dynamic op counts. A single-core workload has
+        // one core.
+        sim::FuncSim::Config fcfg;
+        fcfg.cores = workload_.threaded ? mcCfg_.cores : 1;
+        sim::FuncSim fsim(workload_.program, fcfg);
+        auto fres = fsim.run();
+        if (fres.status != sim::FuncSim::Status::Halted)
+            return makeError(ErrorCode::GoldenRunFailed,
+                             "workload '%s' golden run did not halt (%s)",
+                             workload_.name.c_str(),
+                             sim::trapName(fres.trap));
+        coreProfiles_.clear();
+        profile_ = {};
+        for (unsigned k = 0; k < fsim.cores(); ++k) {
+            const ProgramProfile &p = coreProfiles_.emplace_back(
+                ProgramProfile::fromFuncSim(fsim, k));
+            profile_.totalInstructions += p.totalInstructions;
+            profile_.instructionsWithDest += p.instructionsWithDest;
+            for (size_t j = 0; j < p.fpOpCounts.size(); ++j)
+                profile_.fpOpCounts[j] += p.fpOpCounts[j];
+        }
 
-            // Timing/output reference from a golden detailed mc run.
+        // ...and the timing/output reference from a golden detailed run.
+        if (workload_.threaded) {
             mc::McSim msim(workload_.program, mcCfg_);
             auto mres = msim.run(~0ULL);
             if (mres.status != mc::McSim::Status::Halted)
@@ -242,35 +234,19 @@ InjectionCampaign::prepare()
             goldenCommitted_ = mres.committed;
             goldenSignature_ =
                 outputSignature(msim.memory(), msim.console());
-        } catch (const std::exception &e) {
-            return makeError(
-                ErrorCode::EngineFault,
-                "workload '%s' golden preparation faulted: %s",
-                workload_.name.c_str(), e.what());
+        } else {
+            OooSim osim(workload_.program, cfg_);
+            auto ores = osim.run(~0ULL);
+            if (ores.status != OooSim::Status::Halted)
+                return makeError(
+                    ErrorCode::GoldenRunFailed,
+                    "workload '%s' golden OoO run did not halt",
+                    workload_.name.c_str());
+            goldenCycles_ = ores.cycles;
+            goldenCommitted_ = ores.committed;
+            goldenSignature_ =
+                outputSignature(osim.memory(), osim.console());
         }
-        return {};
-    }
-    try {
-        // Profile from a fast functional run...
-        sim::FuncSim fsim(workload_.program);
-        auto fres = fsim.run();
-        if (fres.status != sim::FuncSim::Status::Halted)
-            return makeError(ErrorCode::GoldenRunFailed,
-                             "workload '%s' golden run did not halt (%s)",
-                             workload_.name.c_str(),
-                             sim::trapName(fres.trap));
-        profile_ = ProgramProfile::fromFuncSim(fsim, fres.instructions);
-
-        // ...and the timing/output reference from a golden detailed run.
-        OooSim osim(workload_.program, cfg_);
-        auto ores = osim.run(~0ULL);
-        if (ores.status != OooSim::Status::Halted)
-            return makeError(ErrorCode::GoldenRunFailed,
-                             "workload '%s' golden OoO run did not halt",
-                             workload_.name.c_str());
-        goldenCycles_ = ores.cycles;
-        goldenCommitted_ = ores.committed;
-        goldenSignature_ = outputSignature(osim.memory(), osim.console());
     } catch (const std::exception &e) {
         return makeError(ErrorCode::EngineFault,
                          "workload '%s' golden preparation faulted: %s",
@@ -316,29 +292,10 @@ InjectionCampaign::goldenRecord(double logWeight) const
 }
 
 InjectionCampaign::RunRecord
-InjectionCampaign::executeOneMc(const ErrorModel &model, Rng &rng,
-                                const Watchdog *watchdog) const
+InjectionCampaign::simulateMc(std::vector<sim::InjectionPlan> plans,
+                              double logWeight,
+                              const Watchdog *watchdog) const
 {
-    // Plan per core, in core-major order on the one run substream, so
-    // the whole multi-core plan is a deterministic function of the run
-    // index. Each event is stamped with its core: "the n-th eligible
-    // op on core k". The run's weight is the product (log-sum) of the
-    // per-core plan weights.
-    double logWeight = 0.0;
-    bool anyEvent = false;
-    std::vector<sim::InjectionPlan> plans;
-    plans.reserve(coreProfiles_.size());
-    for (unsigned k = 0; k < coreProfiles_.size(); ++k) {
-        double lw = 0.0;
-        auto events = model.planWeighted(coreProfiles_[k], rng, lw);
-        for (auto &e : events)
-            e.core = k;
-        logWeight += lw;
-        anyEvent = anyEvent || !events.empty();
-        plans.emplace_back(events);
-    }
-    if (!anyEvent)
-        return goldenRecord(logWeight);
     mc::McSim sim(workload_.program, mcCfg_, std::move(plans));
     auto res = sim.run(2 * goldenCycles_, watchdog);
 
@@ -423,13 +380,30 @@ InjectionCampaign::RunRecord
 InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
                               const Watchdog *watchdog) const
 {
-    if (workload_.threaded)
-        return executeOneMc(model, rng, watchdog);
+    // Plan per core, in core-major order on the one run substream, so
+    // the whole multi-core plan is a deterministic function of the run
+    // index. Each event is stamped with its core: "the n-th eligible
+    // op on core k". The run's weight is the product (log-sum) of the
+    // per-core plan weights; no model returns a weight of -0.0, so a
+    // single core's sum from 0.0 is its plan's weight bit for bit.
     double logWeight = 0.0;
-    auto events = model.planWeighted(profile_, rng, logWeight);
-    if (events.empty())
+    bool anyEvent = false;
+    std::vector<sim::InjectionPlan> plans;
+    plans.reserve(coreProfiles_.size());
+    for (unsigned k = 0; k < coreProfiles_.size(); ++k) {
+        double lw = 0.0;
+        auto events = model.planWeighted(coreProfiles_[k], rng, lw);
+        for (auto &e : events)
+            e.core = k;
+        logWeight += lw;
+        anyEvent = anyEvent || !events.empty();
+        plans.emplace_back(events);
+    }
+    if (!anyEvent)
         return goldenRecord(logWeight);
-    OooSim sim(workload_.program, cfg_, sim::InjectionPlan(events));
+    if (workload_.threaded)
+        return simulateMc(std::move(plans), logWeight, watchdog);
+    OooSim sim(workload_.program, cfg_, std::move(plans[0]));
     auto res = sim.run(2 * goldenCycles_, watchdog);
     RunRecord rec;
     rec.logWeight = logWeight;

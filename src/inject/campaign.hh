@@ -353,9 +353,10 @@ class InjectionCampaign
     /** Golden functional + detailed runs; the recoverable ctor body. */
     Error prepare();
 
-    /** executeOne's multi-core path (threaded workloads). */
-    RunRecord executeOneMc(const models::ErrorModel &model, Rng &rng,
-                           const Watchdog *watchdog) const;
+    /** executeOne's McSim run of planned per-core events. */
+    RunRecord simulateMc(std::vector<sim::InjectionPlan> plans,
+                         double logWeight,
+                         const Watchdog *watchdog) const;
 
     /** The record of a run whose plan has no event (DESIGN.md §17). */
     RunRecord goldenRecord(double logWeight) const;
@@ -367,8 +368,8 @@ class InjectionCampaign
     workloads::Workload workload_;
     sim::OooConfig cfg_;
     mc::McConfig mcCfg_;
-    models::ProgramProfile profile_;
-    /** Per-core profiles (threaded only): plan "core k's n-th op". */
+    models::ProgramProfile profile_; ///< sum of coreProfiles_
+    /** One profile per simulated core: plan "core k's n-th op". */
     std::vector<models::ProgramProfile> coreProfiles_;
     uint64_t goldenCycles_ = 0;
     /** Instructions the golden run committed (all cores). */

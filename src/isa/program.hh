@@ -26,9 +26,9 @@ constexpr uint64_t kStackSize = 0x100000;    ///< 1 MiB mapped
 
 /**
  * Multi-core control page: a read-only page below the data segment
- * that the multi-core simulator (src/mc) maps per core, so one SPMD
- * program image can ask "who am I / how many of us are there". Loads
- * from it hit the single-core simulators as plain unmapped memory —
+ * that the N-core simulators (sim::FuncSim, mc::McSim) map per core,
+ * so one SPMD program image can ask "who am I / how many of us are
+ * there". Loads from it hit sim::OooSim as plain unmapped memory —
  * single-core programs simply never touch it.
  */
 constexpr uint64_t kMcCtrlBase = 0xF0000;

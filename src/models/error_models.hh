@@ -46,8 +46,9 @@ struct ProgramProfile
     uint64_t instructionsWithDest = 0;
     std::array<uint64_t, fpu::kNumFpuOps> fpOpCounts{};
 
+    /** Core `core`'s counts from a finished functional run. */
     static ProgramProfile fromFuncSim(const sim::FuncSim &sim,
-                                      uint64_t totalInstructions);
+                                      unsigned core);
 };
 
 class ErrorModel

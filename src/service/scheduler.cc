@@ -1,7 +1,6 @@
 #include "service/scheduler.hh"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -9,29 +8,13 @@
 
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
+#include "util/env.hh"
 #include "util/fsatomic.hh"
 #include "util/logging.hh"
 
 namespace tea::service {
 
 namespace {
-
-bool
-envI64(const char *name, int64_t &out)
-{
-    const char *v = std::getenv(name);
-    if (!v)
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    long long parsed = std::strtoll(v, &end, 10);
-    if (errno != 0 || end == v || *end != '\0') {
-        warn("ignoring malformed %s='%s'", name, v);
-        return false;
-    }
-    out = parsed;
-    return true;
-}
 
 obs::Counter
 rejectionCounter(ErrorCode code)

@@ -1,5 +1,7 @@
 #include "sim/func_sim.hh"
 
+#include <algorithm>
+
 #include "sim/exec.hh"
 #include "util/logging.hh"
 
@@ -24,140 +26,253 @@ trapName(TrapKind kind)
 FuncSim::FuncSim(isa::Program prog, Config cfg)
     : prog_(std::move(prog)), cfg_(cfg)
 {
+    cfg_.cores = std::clamp(cfg_.cores, 1u, isa::kMcMaxCores);
     mem_.loadProgram(prog_);
-    xreg_[2] = isa::kStackTop - 64; // sp
+    cores_.resize(cfg_.cores);
+    cores_[0].running = true;
+    cores_[0].idx = prog_.entryIndex;
+    cores_[0].xreg[2] = isa::kStackTop - 64; // sp
+    barPhase_.assign(cfg_.cores, 0);
+    inBarrier_.assign(cfg_.cores, 0);
 }
 
 uint64_t
 FuncSim::fpArithCount() const
 {
     uint64_t n = 0;
-    for (unsigned i = 0; i < isa::kNumOps; ++i)
-        if (isa::isFpArith(static_cast<isa::Op>(i)))
-            n += opCounts_[i];
+    for (const Core &c : cores_)
+        for (unsigned i = 0; i < isa::kNumOps; ++i)
+            if (isa::isFpArith(static_cast<isa::Op>(i)))
+                n += c.opCounts[i];
     return n;
 }
 
-FuncSim::Result
-FuncSim::run()
+FuncSim::Stop
+FuncSim::runCore(unsigned k, uint64_t budget, uint64_t &retired,
+                 TrapKind &trap)
 {
     using isa::Op;
+    Core &c = cores_[k];
     const auto &code = prog_.code;
-    uint64_t idx = prog_.entryIndex;
-    uint64_t count = 0;
+    uint64_t idx = c.idx;
+    uint64_t n = 0;
 
-    auto trapOut = [&](TrapKind kind) {
-        return Result{Status::Trapped, kind, count, idx};
+    // The rare instructions that end the call return from inside the
+    // switch, so the common path retires without checking for them.
+    auto retire = [&](isa::Op op, uint64_t next) {
+        ++n;
+        ++c.opCounts[static_cast<size_t>(op)];
+        idx = next;
+    };
+    auto leave = [&](Stop stop) {
+        c.idx = idx;
+        c.instructions += n;
+        retired = n;
+        return stop;
+    };
+    // A trapping instruction is neither counted nor retired.
+    auto fault = [&](TrapKind kind) {
+        trap = kind;
+        return leave(Stop::Trapped);
     };
 
-    while (count < cfg_.maxInstructions) {
+    while (n < budget) {
         if (idx >= code.size())
-            return trapOut(TrapKind::BadJump);
+            return fault(TrapKind::BadJump);
         const isa::Instruction &insn = code[idx];
-        ++count;
-        ++opCounts_[static_cast<size_t>(insn.op)];
         uint64_t next = idx + 1;
 
         switch (insn.op) {
           case Op::HALT:
-            return Result{Status::Halted, TrapKind::None, count, idx};
+            c.running = false;
+            --running_;
+            retire(insn.op, next);
+            return leave(Stop::Halted);
           case Op::NOP:
             break;
           case Op::ECALL: {
-            if (insn.imm == static_cast<int>(isa::Syscall::PrintInt))
-                console_.push_back(xreg_[insn.rs1]);
-            else if (insn.imm == static_cast<int>(isa::Syscall::PrintFp))
-                console_.push_back(freg_[insn.rs1]);
+            using isa::Syscall;
+            switch (static_cast<Syscall>(insn.imm)) {
+              case Syscall::PrintInt:
+                console_.push_back(c.xreg[insn.rs1]);
+                break;
+              case Syscall::PrintFp:
+                console_.push_back(c.freg[insn.rs1]);
+                break;
+              case Syscall::Spawn: {
+                uint64_t arg = c.xreg[insn.rs1];
+                unsigned target = 1;
+                while (target < cfg_.cores && cores_[target].running)
+                    ++target;
+                if (arg < isa::kCodeBase || (arg & 3) ||
+                    (arg - isa::kCodeBase) / 4 >= code.size() ||
+                    target == cfg_.cores)
+                    return fault(TrapKind::SyncFault);
+                Core &w = cores_[target];
+                w.running = true;
+                ++running_;
+                w.idx = (arg - isa::kCodeBase) / 4;
+                w.xreg[2] = isa::kStackTop - 64 -
+                            static_cast<uint64_t>(target) *
+                                isa::kMcStackBytes;
+                retire(insn.op, next);
+                return leave(Stop::Spawned);
+              }
+              case Syscall::Join:
+                if (running_ > 1)
+                    return leave(Stop::Stalled);
+                break;
+              case Syscall::Barrier:
+                if (barPhase_[k] < barGlobalPhase_) {
+                    ++barPhase_[k];
+                    break;
+                }
+                if (!inBarrier_[k]) {
+                    inBarrier_[k] = 1;
+                    ++barArrived_;
+                }
+                if (barArrived_ < running_)
+                    return leave(Stop::Stalled);
+                ++barGlobalPhase_;
+                barArrived_ = 0;
+                std::fill(inBarrier_.begin(), inBarrier_.end(), 0);
+                ++barPhase_[k];
+                break;
+              default:
+                break;
+            }
             break;
           }
           case Op::JAL:
-            xreg_[insn.rd] = (idx + 1) * 4 + isa::kCodeBase;
+            c.xreg[insn.rd] = (idx + 1) * 4 + isa::kCodeBase;
             if (insn.rd == 0)
-                xreg_[0] = 0;
+                c.xreg[0] = 0;
             next = idx + static_cast<int64_t>(insn.imm);
             break;
           case Op::JALR: {
-            uint64_t target = xreg_[insn.rs1] +
+            uint64_t target = c.xreg[insn.rs1] +
                               static_cast<int64_t>(insn.imm);
-            xreg_[insn.rd] = (idx + 1) * 4 + isa::kCodeBase;
-            xreg_[0] = 0;
+            c.xreg[insn.rd] = (idx + 1) * 4 + isa::kCodeBase;
+            c.xreg[0] = 0;
             if (target < isa::kCodeBase || (target & 3) ||
                 (target - isa::kCodeBase) / 4 >= code.size()) {
-                return trapOut(TrapKind::BadJump);
+                return fault(TrapKind::BadJump);
             }
             next = (target - isa::kCodeBase) / 4;
             break;
           }
           case Op::BEQ: case Op::BNE: case Op::BLT: case Op::BGE:
           case Op::BLTU: case Op::BGEU:
-            if (branchTaken(insn.op, xreg_[insn.rs1], xreg_[insn.rs2]))
+            if (branchTaken(insn.op, c.xreg[insn.rs1], c.xreg[insn.rs2]))
                 next = idx + static_cast<int64_t>(insn.imm);
             break;
           case Op::LD: case Op::LW: case Op::FLD: {
-            uint64_t addr = xreg_[insn.rs1] +
+            uint64_t addr = c.xreg[insn.rs1] +
                             static_cast<int64_t>(insn.imm);
             unsigned size = memAccessSize(insn.op);
             if (addr & (size - 1))
-                return trapOut(TrapKind::Misaligned);
+                return fault(TrapKind::Misaligned);
             if (addr < isa::kProtectedTop)
-                return trapOut(TrapKind::ProtectedAccess);
-            if (!mem_.isMapped(addr, size))
-                return trapOut(TrapKind::MemFault);
-            uint64_t v = mem_.read(addr, size);
+                return fault(TrapKind::ProtectedAccess);
+            uint64_t v = 0;
+            // Aligned, so inside the control page if it starts there.
+            if (addr - isa::kMcCtrlBase < isa::kMcCtrlSize) {
+                v = addr == isa::kMcCtrlCoreId     ? k
+                    : addr == isa::kMcCtrlNumCores ? cfg_.cores
+                                                   : 0;
+            } else if (mem_.isMapped(addr, size)) {
+                v = mem_.read(addr, size);
+            } else {
+                return fault(TrapKind::MemFault);
+            }
             if (insn.op == Op::LW)
                 v = static_cast<uint64_t>(
                     static_cast<int64_t>(static_cast<int32_t>(v)));
             if (insn.op == Op::FLD)
-                freg_[insn.rd] = v;
+                c.freg[insn.rd] = v;
             else
-                xreg_[insn.rd] = v;
+                c.xreg[insn.rd] = v;
             break;
           }
           case Op::SD: case Op::SW: case Op::FSD: {
-            uint64_t addr = xreg_[insn.rs1] +
+            uint64_t addr = c.xreg[insn.rs1] +
                             static_cast<int64_t>(insn.imm);
             unsigned size = memAccessSize(insn.op);
             if (addr & (size - 1))
-                return trapOut(TrapKind::Misaligned);
+                return fault(TrapKind::Misaligned);
             if (addr < isa::kProtectedTop)
-                return trapOut(TrapKind::ProtectedAccess);
+                return fault(TrapKind::ProtectedAccess);
+            // The control page is read-only and unmapped for stores,
+            // so a write there is a MemFault, as on McSim's port.
             if (!mem_.isMapped(addr, size))
-                return trapOut(TrapKind::MemFault);
-            uint64_t data = (insn.op == Op::FSD) ? freg_[insn.rd]
-                                                 : xreg_[insn.rd];
+                return fault(TrapKind::MemFault);
+            uint64_t data = (insn.op == Op::FSD) ? c.freg[insn.rd]
+                                                 : c.xreg[insn.rd];
             mem_.write(addr, size, data);
             break;
           }
           default: {
             uint64_t a, b = 0;
             if (isa::readsFpRs1(insn.op))
-                a = freg_[insn.rs1];
+                a = c.freg[insn.rs1];
             else
-                a = xreg_[insn.rs1];
+                a = c.xreg[insn.rs1];
             if (isa::readsFpRs2(insn.op))
-                b = freg_[insn.rs2];
+                b = c.freg[insn.rs2];
             else if (isa::readsIntRs2(insn.op))
-                b = xreg_[insn.rs2];
+                b = c.xreg[insn.rs2];
             if (fpTrace_ && isa::isFpArith(insn.op))
                 fpTrace_->push_back(
                     FpTraceEntry{isa::fpuOpFor(insn.op), a, b});
             ExecOut out = execArith(insn, a, b);
             if (out.fpSevere && cfg_.trapOnSevereFp &&
                 isa::isFpArith(insn.op)) {
-                return trapOut(TrapKind::FpException);
+                return fault(TrapKind::FpException);
             }
             if (isa::writesFpReg(insn.op)) {
-                freg_[insn.rd] = out.value;
+                c.freg[insn.rd] = out.value;
             } else if (isa::writesIntReg(insn.op)) {
-                xreg_[insn.rd] = out.value;
-                xreg_[0] = 0;
+                c.xreg[insn.rd] = out.value;
+                c.xreg[0] = 0;
             }
             break;
           }
         }
-        idx = next;
+        retire(insn.op, next);
     }
-    return Result{Status::LimitReached, TrapKind::None, count, idx};
+    return leave(Stop::Budget);
+}
+
+FuncSim::Result
+FuncSim::run()
+{
+    uint64_t total = 0;
+    while (total < cfg_.maxInstructions) {
+        // One round: each running core retires one instruction, in
+        // core order. A lone running core has nobody to interleave
+        // with until it spawns, so it runs on in one call; the rounds
+        // that call stands for would have stepped only that core.
+        bool progressed = false;
+        for (unsigned k = 0; k < cfg_.cores; ++k) {
+            if (!cores_[k].running)
+                continue;
+            uint64_t budget =
+                running_ == 1 ? cfg_.maxInstructions - total : 1;
+            uint64_t retired = 0;
+            TrapKind trap = TrapKind::None;
+            Stop stop = runCore(k, budget, retired, trap);
+            total += retired;
+            progressed = progressed || retired > 0;
+            if (stop == Stop::Trapped)
+                return {Status::Trapped, trap, static_cast<int>(k),
+                        total};
+            if (stop == Stop::Halted && k == 0)
+                return {Status::Halted, TrapKind::None, -1, total};
+        }
+        if (!progressed)
+            return {Status::Deadlock, TrapKind::None, -1, total};
+    }
+    return {Status::LimitReached, TrapKind::None, -1, total};
 }
 
 } // namespace tea::sim

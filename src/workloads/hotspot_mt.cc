@@ -12,8 +12,8 @@
  * lockstep. Workers halt after the loop; core 0 joins and prints the
  * hot-region checksum.
  *
- * Requires mc::McSim / mc::McFuncSim (control page + spawn ABI); the
- * single-core simulators fault on the control-page load.
+ * Runs on the N-core simulators, sim::FuncSim and mc::McSim (control
+ * page + spawn ABI); sim::OooSim faults on the control-page load.
  */
 
 #include "isa/asmbuilder.hh"

@@ -12,8 +12,8 @@
  * next iteration. Workers halt after the loop; core 0 joins and
  * prints the centroids.
  *
- * Requires mc::McSim / mc::McFuncSim (control page + spawn ABI); the
- * single-core simulators fault on the control-page load.
+ * Runs on the N-core simulators, sim::FuncSim and mc::McSim (control
+ * page + spawn ABI); sim::OooSim faults on the control-page load.
  */
 
 #include "isa/asmbuilder.hh"

@@ -35,9 +35,10 @@ struct Workload
     std::vector<std::string> outputSymbols;
     /**
      * True for the "-mt" variants that use the spawn/join/barrier ABI
-     * and the per-core control page; they require the multi-core
-     * simulators (mc::McSim / mc::McFuncSim) and trap on the
-     * single-core ones.
+     * and the per-core control page; they run on the N-core
+     * simulators (sim::FuncSim, mc::McSim) and trap on sim::OooSim.
+     * The flag picks the core count, the timing simulator and the
+     * McClass refinement, nothing else.
      */
     bool threaded = false;
 };

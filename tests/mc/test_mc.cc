@@ -1,9 +1,9 @@
 /**
  * @file
  * The multi-core injection contract: the spawn/join/barrier ABI works
- * on both multi-core simulators (and faults deterministically when
- * misused), the cycle-level McSim agrees with the functional McFuncSim
- * on the threaded workloads, per-core injection plans land on their
+ * on both N-core simulators, FuncSim and McSim (and faults
+ * deterministically when misused), the cycle-level McSim agrees with
+ * the functional FuncSim on the threaded workloads, per-core injection plans land on their
  * target core only, the outcome-taxonomy refinement is consistent,
  * and an N-core campaign's journal is byte-identical across host
  * thread counts and through the fleet worker path (ctest -L tier1mc).
@@ -25,9 +25,9 @@
 #include "fleet/coordinator.hh"
 #include "isa/asmbuilder.hh"
 #include "isa/isa.hh"
-#include "mc/mc_func_sim.hh"
 #include "mc/mc_sim.hh"
 #include "models/error_models.hh"
+#include "sim/func_sim.hh"
 #include "util/fsatomic.hh"
 #include "workloads/workloads.hh"
 
@@ -35,6 +35,7 @@ using namespace tea;
 using namespace tea::mc;
 using inject::InjectionCampaign;
 using inject::McClass;
+using sim::FuncSim;
 
 namespace {
 
@@ -130,11 +131,11 @@ TEST(McAbi, SpawnJoinBarrierOnBothSimulators)
 {
     isa::Program prog = buildProbe();
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
-        McFuncSim::Config fcfg;
+        FuncSim::Config fcfg;
         fcfg.cores = cores;
-        McFuncSim fsim(prog, fcfg);
+        FuncSim fsim(prog, fcfg);
         auto fr = fsim.run();
-        ASSERT_EQ(fr.status, McFuncSim::Status::Halted)
+        ASSERT_EQ(fr.status, FuncSim::Status::Halted)
             << cores << " cores, trap " << sim::trapName(fr.trap);
         ASSERT_EQ(fsim.console().size(), 1u);
         EXPECT_EQ(fsim.console()[0], probeSum(cores)) << cores;
@@ -172,11 +173,11 @@ TEST(McAbi, InvalidSpawnTargetIsSyncFault)
     b.halt();
     isa::Program prog = b.build();
 
-    McFuncSim::Config fcfg;
+    FuncSim::Config fcfg;
     fcfg.cores = 2;
-    McFuncSim fsim(prog, fcfg);
+    FuncSim fsim(prog, fcfg);
     auto fr = fsim.run();
-    EXPECT_EQ(fr.status, McFuncSim::Status::Trapped);
+    EXPECT_EQ(fr.status, FuncSim::Status::Trapped);
     EXPECT_EQ(fr.trap, sim::TrapKind::SyncFault);
     EXPECT_EQ(fr.trapCore, 0);
 
@@ -203,16 +204,16 @@ TEST(McAbi, SpawnWithNoParkedCoreIsSyncFault)
     b.halt();
     isa::Program prog = b.build();
 
-    McFuncSim::Config ok;
+    FuncSim::Config ok;
     ok.cores = 2;
-    McFuncSim fok(prog, ok);
-    EXPECT_EQ(fok.run().status, McFuncSim::Status::Halted);
+    FuncSim fok(prog, ok);
+    EXPECT_EQ(fok.run().status, FuncSim::Status::Halted);
 
-    McFuncSim::Config bad;
+    FuncSim::Config bad;
     bad.cores = 1;
-    McFuncSim fbad(prog, bad);
+    FuncSim fbad(prog, bad);
     auto fr = fbad.run();
-    EXPECT_EQ(fr.status, McFuncSim::Status::Trapped);
+    EXPECT_EQ(fr.status, FuncSim::Status::Trapped);
     EXPECT_EQ(fr.trap, sim::TrapKind::SyncFault);
 }
 
@@ -233,10 +234,10 @@ TEST(McAbi, JoinBarrierMismatchDeadlocks)
     b.halt();
     isa::Program prog = b.build();
 
-    McFuncSim::Config fcfg;
+    FuncSim::Config fcfg;
     fcfg.cores = 2;
-    McFuncSim fsim(prog, fcfg);
-    EXPECT_EQ(fsim.run().status, McFuncSim::Status::Deadlock);
+    FuncSim fsim(prog, fcfg);
+    EXPECT_EQ(fsim.run().status, FuncSim::Status::Deadlock);
 
     McConfig mcfg;
     mcfg.cores = 2;
@@ -259,11 +260,11 @@ TEST_P(McWorkloadTest, ThreadedFlagAndGoldenRun)
     workloads::Workload w = workloads::buildWorkload(GetParam(), 1);
     EXPECT_TRUE(w.threaded);
 
-    McFuncSim::Config fcfg;
+    FuncSim::Config fcfg;
     fcfg.cores = 2;
-    McFuncSim fsim(w.program, fcfg);
+    FuncSim fsim(w.program, fcfg);
     auto fr = fsim.run();
-    ASSERT_EQ(fr.status, McFuncSim::Status::Halted)
+    ASSERT_EQ(fr.status, FuncSim::Status::Halted)
         << "trap: " << sim::trapName(fr.trap);
     EXPECT_GT(fr.instructions, 10'000u);
     EXPECT_FALSE(fsim.console().empty());
@@ -281,11 +282,11 @@ TEST_P(McWorkloadTest, CycleSimMatchesFunctional)
 {
     workloads::Workload w = workloads::buildWorkload(GetParam(), 1);
     for (unsigned cores : {1u, 2u, 3u}) {
-        McFuncSim::Config fcfg;
+        FuncSim::Config fcfg;
         fcfg.cores = cores;
-        McFuncSim fsim(w.program, fcfg);
+        FuncSim fsim(w.program, fcfg);
         auto fr = fsim.run();
-        ASSERT_EQ(fr.status, McFuncSim::Status::Halted) << cores;
+        ASSERT_EQ(fr.status, FuncSim::Status::Halted) << cores;
 
         McConfig mcfg;
         mcfg.cores = cores;
@@ -357,10 +358,10 @@ TEST(McWorkloads, CoherenceTrafficObserved)
 TEST(McInject, PlansTargetTheirCoreOnly)
 {
     workloads::Workload w = workloads::buildWorkload("k-means-mt", 1);
-    McFuncSim::Config fcfg;
+    FuncSim::Config fcfg;
     fcfg.cores = 2;
-    McFuncSim fsim(w.program, fcfg);
-    ASSERT_EQ(fsim.run().status, McFuncSim::Status::Halted);
+    FuncSim fsim(w.program, fcfg);
+    ASSERT_EQ(fsim.run().status, FuncSim::Status::Halted);
     ASSERT_GT(fsim.opCount(1, isa::Op::FADD_D), 10u);
 
     // One low-order-bit flip on core 1's 5th committed FADD.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "isa/asmbuilder.hh"
 #include "models/error_models.hh"
 
 using namespace tea;
@@ -143,9 +144,37 @@ TEST(Models, KindsAndNames)
 
 TEST(Models, ProfileFromFuncSim)
 {
-    // Covered more fully in the inject tests; here just the shape.
-    ProgramProfile p;
-    EXPECT_EQ(p.totalInstructions, 0u);
+    ProgramProfile empty;
+    EXPECT_EQ(empty.totalInstructions, 0u);
+
+    // Core 0 spawns a worker that retires three fmul.d, retires one
+    // fadd.d itself, then joins: each core's profile holds its own
+    // counts only.
+    isa::AsmBuilder b("profile");
+    auto worker = b.newLabel();
+    b.laCode(5, worker);
+    b.spawn(5);
+    b.fadd_d(1, 2, 3);
+    b.join();
+    b.halt();
+    b.bind(worker);
+    for (int i = 0; i < 3; ++i)
+        b.fmul_d(1, 2, 3);
+    b.halt();
+    sim::FuncSim::Config cfg;
+    cfg.cores = 2;
+    sim::FuncSim fsim(b.build(), cfg);
+    ASSERT_EQ(fsim.run().status, sim::FuncSim::Status::Halted);
+
+    auto p0 = ProgramProfile::fromFuncSim(fsim, 0);
+    auto p1 = ProgramProfile::fromFuncSim(fsim, 1);
+    EXPECT_EQ(p0.totalInstructions, fsim.instructions(0));
+    EXPECT_EQ(p0.fpOpCounts[static_cast<size_t>(FpuOp::AddD)], 1u);
+    EXPECT_EQ(p0.fpOpCounts[static_cast<size_t>(FpuOp::MulD)], 0u);
+    EXPECT_EQ(p1.totalInstructions, 4u);
+    EXPECT_EQ(p1.instructionsWithDest, 3u);
+    EXPECT_EQ(p1.fpOpCounts[static_cast<size_t>(FpuOp::MulD)], 3u);
+    EXPECT_EQ(p1.fpOpCounts[static_cast<size_t>(FpuOp::AddD)], 0u);
 }
 
 TEST(Models, SaveLoadRoundTrip)

@@ -21,8 +21,8 @@ TEST(FuncSim, HaltsAndCounts)
     EXPECT_EQ(r.status, FuncSim::Status::Halted);
     // 1 li + 10*(addi+bne) + halt = 22.
     EXPECT_EQ(r.instructions, 22u);
-    EXPECT_EQ(sim.opCount(Op::ADDI), 10u);
-    EXPECT_EQ(sim.opCount(Op::BNE), 10u);
+    EXPECT_EQ(sim.opCount(0, Op::ADDI), 10u);
+    EXPECT_EQ(sim.opCount(0, Op::BNE), 10u);
 }
 
 TEST(FuncSim, TrapsOnUnmappedLoad)
@@ -73,6 +73,55 @@ TEST(FuncSim, TrapsOnBadJump)
     auto r = sim.run();
     EXPECT_EQ(r.status, FuncSim::Status::Trapped);
     EXPECT_EQ(r.trap, TrapKind::BadJump);
+    EXPECT_EQ(sim.opCount(0, Op::JALR), 0u);
+}
+
+TEST(FuncSim, TrappingInstructionIsNotCountedOnOneCore)
+{
+    AsmBuilder b("t");
+    b.addi(6, 0, 8);
+    b.ld(7, 6, 0); // protected page
+    b.halt();
+    FuncSim sim(b.build());
+    auto r = sim.run();
+    EXPECT_EQ(r.status, FuncSim::Status::Trapped);
+    EXPECT_EQ(r.trap, TrapKind::ProtectedAccess);
+    EXPECT_EQ(r.trapCore, 0);
+    // Only the retired addi counts; the trapping load does not.
+    EXPECT_EQ(r.instructions, 1u);
+    EXPECT_EQ(sim.instructions(0), 1u);
+    EXPECT_EQ(sim.opCount(0, Op::ADDI), 1u);
+    EXPECT_EQ(sim.opCount(0, Op::LD), 0u);
+}
+
+TEST(FuncSim, TrappingInstructionIsNotCountedOnTwoCores)
+{
+    // Core 0 spawns a worker and waits at a join; the worker retires
+    // one addi, then traps on its load.
+    AsmBuilder b("t");
+    auto worker = b.newLabel();
+    b.laCode(5, worker);
+    b.spawn(5);
+    b.join();
+    b.halt();
+    b.bind(worker);
+    b.addi(6, 0, 8);
+    b.ld(7, 6, 0); // protected page
+    b.halt();
+    FuncSim::Config cfg;
+    cfg.cores = 2;
+    FuncSim sim(b.build(), cfg);
+    auto r = sim.run();
+    EXPECT_EQ(r.status, FuncSim::Status::Trapped);
+    EXPECT_EQ(r.trap, TrapKind::ProtectedAccess);
+    EXPECT_EQ(r.trapCore, 1);
+    EXPECT_EQ(r.instructions, sim.instructions(0) + sim.instructions(1));
+    EXPECT_EQ(sim.instructions(1), 1u);
+    EXPECT_EQ(sim.opCount(1, Op::ADDI), 1u);
+    EXPECT_EQ(sim.opCount(1, Op::LD), 0u);
+    // The spawn retired; the join, retried while the worker ran, did
+    // not.
+    EXPECT_EQ(sim.opCount(0, Op::ECALL), 1u);
 }
 
 TEST(FuncSim, TrapsOnFpException)

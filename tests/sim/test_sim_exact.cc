@@ -6,7 +6,10 @@
  * ROB-walking load disambiguation); any restructuring of the pipeline's
  * internals must leave every one of them unchanged.
  *
- * Pinned: every OooSim::Result field of each workload's golden run,
+ * Pinned: the functional simulator's golden run of each workload (and
+ * of the threaded workloads at 1, 2 and 4 cores) as status, counts and
+ * CRCs of the per-core op counts, the FP operand trace and the checked
+ * outputs; every OooSim::Result field of each workload's golden run,
  * every McSim::Result field of the threaded workloads at 2 and 4
  * cores, and a CRC over the RunRecords of 64 seeded injection runs per
  * workload under each of the DA, IA and WA models (reduced-size
@@ -28,6 +31,7 @@
 
 #include "core/toolflow.hh"
 #include "mc/mc_sim.hh"
+#include "sim/func_sim.hh"
 #include "sim/ooo_sim.hh"
 #include "util/crc32.hh"
 #include "workloads/workloads.hh"
@@ -109,6 +113,108 @@ recordsCrc(const std::vector<InjectionCampaign::RunRecord> &recs)
     }
     return crc;
 }
+
+/** The functional run of `w` as one line: counts and output CRCs. */
+std::string
+describeFunc(int status, uint64_t instructions,
+             const std::vector<uint64_t> &perCore,
+             const std::vector<uint64_t> &opCounts,
+             const std::vector<sim::FpTraceEntry> &trace,
+             const sim::Memory &mem, const sim::Console &console,
+             const workloads::Workload &w)
+{
+    uint32_t opCrc =
+        crc32(opCounts.data(), opCounts.size() * sizeof(uint64_t));
+    // FpTraceEntry has padding: hash its fields, not its bytes.
+    uint32_t traceCrc = 0;
+    for (const auto &e : trace) {
+        uint8_t buf[17];
+        buf[0] = static_cast<uint8_t>(e.op);
+        std::memcpy(buf + 1, &e.a, 8);
+        std::memcpy(buf + 9, &e.b, 8);
+        traceCrc = crc32(buf, sizeof buf, traceCrc);
+    }
+    uint32_t outCrc = 0;
+    for (const auto &sym : w.outputSymbols) {
+        auto blk = mem.readBlock(w.program.symbol(sym),
+                                 w.program.symbolSize(sym));
+        outCrc = crc32(blk.data(), blk.size(), outCrc);
+    }
+    outCrc = crc32(console.data(), console.size() * sizeof(uint64_t),
+                   outCrc);
+    char buf[256];
+    std::snprintf(buf, sizeof buf,
+                  "status=%d instructions=%" PRIu64
+                  " ops=%08x trace=%08x/%zu out=%08x perCore=",
+                  status, instructions, opCrc, traceCrc, trace.size(),
+                  outCrc);
+    std::string s = buf;
+    for (uint64_t v : perCore)
+        s += std::to_string(v) + ",";
+    return s;
+}
+
+struct FuncCase
+{
+    const char *workload;
+    unsigned cores;
+    const char *expected;
+};
+
+const FuncCase kFuncGolden[] = {
+    {"sobel", 1,
+     "status=0 instructions=24090 "
+     "ops=51f9f5cf trace=49bceee2/15510 "
+     "out=a5560eec perCore=24090,"},
+    {"cg", 1,
+     "status=0 instructions=117122 "
+     "ops=49f8efd2 trace=855b2c1e/28896 "
+     "out=312ec9fb perCore=117122,"},
+    {"k-means", 1,
+     "status=0 instructions=100173 "
+     "ops=7e5fc613 trace=d3ea7864/28220 "
+     "out=907eb618 perCore=100173,"},
+    {"srad_v1", 1,
+     "status=0 instructions=37565 "
+     "ops=4c42d65c trace=7849d462/17514 "
+     "out=1bb10a0d perCore=37565,"},
+    {"hotspot", 1,
+     "status=0 instructions=53375 "
+     "ops=b398f93f trace=6596d954/27115 "
+     "out=2776dad6 perCore=53375,"},
+    {"is", 1,
+     "status=0 instructions=80931 "
+     "ops=e5efcbf4 trace=2c976430/58368 "
+     "out=7ad8e494 perCore=80931,"},
+    {"mg", 1,
+     "status=0 instructions=281706 "
+     "ops=d1ca212a trace=1d299cbf/101081 "
+     "out=dc6b681f perCore=281706,"},
+    {"k-means-mt", 1,
+     "status=0 instructions=103006 "
+     "ops=e865ba1c trace=bc923b60/28260 "
+     "out=907eb618 perCore=103006,"},
+    {"k-means-mt", 2,
+     "status=0 instructions=103551 "
+     "ops=d9555a17 trace=86ea5c7d/28300 "
+     "out=269ad1cf perCore=52214,51337,"},
+    {"k-means-mt", 4,
+     "status=0 instructions=104641 "
+     "ops=89039263 trace=65bffdbd/28380 "
+     "out=685431b7 perCore=27258,25801,25785,25797,"},
+    {"hotspot-mt", 1,
+     "status=0 instructions=53493 "
+     "ops=683c6bb6 trace=6596d954/27115 "
+     "out=2776dad6 perCore=53493,"},
+    {"hotspot-mt", 2,
+     "status=0 instructions=53566 "
+     "ops=d2c1a1a2 trace=98924431/27115 "
+     "out=2776dad6 perCore=27845,25721,"},
+    {"hotspot-mt", 4,
+     "status=0 instructions=53712 "
+     "ops=68c67529 trace=3af88e26/27115 "
+     "out=2776dad6 perCore=16193,14061,11729,11729,"},
+};
 
 struct GoldenCase
 {
@@ -251,6 +357,30 @@ plansNothing(const InjectionCampaign &camp,
 }
 
 } // namespace
+
+TEST(SimExact, FuncGoldenRunsArePinned)
+{
+    for (const auto &c : kFuncGolden) {
+        auto w = workloads::buildWorkload(c.workload, 1);
+        sim::FuncSim::Config cfg;
+        cfg.cores = c.cores;
+        sim::FuncSim sim(w.program, cfg);
+        std::vector<sim::FpTraceEntry> trace;
+        sim.setFpTrace(&trace);
+        auto r = sim.run();
+        std::vector<uint64_t> perCore, ops;
+        for (unsigned k = 0; k < c.cores; ++k) {
+            perCore.push_back(sim.instructions(k));
+            for (unsigned i = 0; i < isa::kNumOps; ++i)
+                ops.push_back(sim.opCount(k, static_cast<isa::Op>(i)));
+        }
+        EXPECT_EQ(describeFunc(static_cast<int>(r.status), r.instructions,
+                               perCore, ops, trace, sim.memory(),
+                               sim.console(), w),
+                  c.expected)
+            << c.workload << " x" << c.cores;
+    }
+}
 
 TEST(SimExact, OooGoldenRunsArePinned)
 {

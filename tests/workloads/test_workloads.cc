@@ -114,21 +114,21 @@ TEST(Workloads, ExpectedInstructionMix)
         Workload w = buildWorkload("srad_v1", 1);
         FuncSim sim(w.program);
         sim.run();
-        EXPECT_GT(sim.opCount(isa::Op::FDIV_D), 1000u);
+        EXPECT_GT(sim.opCount(0, isa::Op::FDIV_D), 1000u);
     }
     {
         Workload w = buildWorkload("is", 1);
         FuncSim sim(w.program);
         sim.run();
-        EXPECT_GT(sim.opCount(isa::Op::FCVT_L_D), 5000u);
-        EXPECT_GT(sim.opCount(isa::Op::FMUL_D), 10000u);
+        EXPECT_GT(sim.opCount(0, isa::Op::FCVT_L_D), 5000u);
+        EXPECT_GT(sim.opCount(0, isa::Op::FMUL_D), 10000u);
     }
     {
         Workload w = buildWorkload("k-means", 1);
         FuncSim sim(w.program);
         sim.run();
-        EXPECT_GT(sim.opCount(isa::Op::FCVT_D_L), 10u);
-        EXPECT_GT(sim.opCount(isa::Op::FDIV_D), 10u);
+        EXPECT_GT(sim.opCount(0, isa::Op::FCVT_D_L), 10u);
+        EXPECT_GT(sim.opCount(0, isa::Op::FDIV_D), 10u);
     }
 }
 
