@@ -111,7 +111,7 @@ main(int argc, char **argv)
         GridSpec spec = warm.spec;
         spec.useCache = false;
         runEvaluationGrid(tf, spec);
-        std::filesystem::remove(gridCachePath(warm.opt));
+        std::filesystem::remove(gridCachePath(warm.opt, warm.spec));
     }
     setQuiet(false);
 

@@ -51,6 +51,7 @@
 #include "circuit/celllib.hh"
 #include "circuit/compiled_dta.hh"
 #include "circuit/dta.hh"
+#include "core/toolflow.hh"
 #include "obs/json.hh"
 #include "obs/obs.hh"
 #include "fpu/fpu_core.hh"
@@ -64,6 +65,7 @@
 #include "timing/ber_csv.hh"
 #include "timing/dta_campaign.hh"
 #include "bench_common.hh"
+#include "util/env.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
 #include "util/simd.hh"
@@ -367,9 +369,8 @@ runThreadSweep()
         maxThreads = std::max(maxThreads, c);
 
     const uint64_t dtaOpsPerType = [] {
-        const char *runs = std::getenv("REPRO_RUNS");
-        long n = runs ? std::strtol(runs, nullptr, 10) : 0;
-        return n > 0 ? static_cast<uint64_t>(n) : 400;
+        uint64_t n = 0;
+        return envU64("REPRO_RUNS", n) && n > 0 ? n : 400;
     }();
     const int injectionRuns = 16;
 
@@ -457,10 +458,8 @@ runLaneSweep()
 
     // A full shard per op type so even the widest batches form.
     const uint64_t dtaOpsPerType = [] {
-        const char *runs = std::getenv("REPRO_RUNS");
-        long n = runs ? std::strtol(runs, nullptr, 10) : 0;
-        return n > 0 ? static_cast<uint64_t>(n)
-                     : timing::kDtaShardOps;
+        uint64_t n = 0;
+        return envU64("REPRO_RUNS", n) && n > 0 ? n : timing::kDtaShardOps;
     }();
     const std::vector<unsigned> laneWidths = {1,  8,   16,  32,
                                               64, 128, 256, 512};
@@ -730,17 +729,9 @@ runBackendSweep()
 int
 runAdaptiveSweep()
 {
-    double hwDta = 0.01, conf = 0.95;
-    if (const char *e = std::getenv("REPRO_CI_TARGET")) {
-        double v = std::strtod(e, nullptr);
-        if (v > 0.0 && v < 0.5)
-            hwDta = v;
-    }
-    if (const char *e = std::getenv("REPRO_CI_CONF")) {
-        double v = std::strtod(e, nullptr);
-        if (v > 0.5 && v < 1.0)
-            conf = v;
-    }
+    const core::ToolflowOptions opt = core::optionsFromEnv();
+    const double hwDta = opt.ciTarget > 0.0 ? opt.ciTarget : 0.01;
+    const double conf = opt.ciConf;
     const uint64_t fixedPerOp = stats::worstCaseTrials(hwDta, conf);
     const unsigned threads = ThreadPool::defaultThreads();
 

@@ -12,6 +12,8 @@
 #include "obs/obs.hh"
 #include "obs/trace.hh"
 #include "surrogate/importance.hh"
+#include "util/crc32.hh"
+#include "util/fields.hh"
 #include "util/fsatomic.hh"
 #include "util/logging.hh"
 
@@ -32,33 +34,132 @@ EvaluationGrid::find(const std::string &workload, ModelKind model,
     return nullptr;
 }
 
+namespace {
+
+/**
+ * The result record's fields in wire order. The first ten are
+ * required on read; the weighted-estimator and multi-core ones are
+ * optional.
+ */
+const std::pair<const char *, FieldMember<CampaignResult>>
+    kResultFields[] = {
+        {"runs", &CampaignResult::runs},
+        {"masked", &CampaignResult::masked},
+        {"sdc", &CampaignResult::sdc},
+        {"crash", &CampaignResult::crash},
+        {"timeout", &CampaignResult::timeout},
+        {"enginefault", &CampaignResult::engineFault},
+        {"retries", &CampaignResult::retries},
+        {"injected", &CampaignResult::injectedErrors},
+        {"committed", &CampaignResult::committedInstructions},
+        {"wrongpath", &CampaignResult::wrongPathInjections},
+        {"weighted", &CampaignResult::weightedModel},
+        {"wsum", &CampaignResult::weightSum},
+        {"wunsafe", &CampaignResult::weightUnsafe},
+        {"wsqsum", &CampaignResult::weightSqSum},
+        {"wusqsum", &CampaignResult::weightUnsafeSqSum},
+        {"mcchm", &CampaignResult::mcCoherenceMasked},
+        {"mcscs", &CampaignResult::mcSdcSameCore},
+        {"mcccs", &CampaignResult::mcSdcCrossCore},
+        {"mcsync", &CampaignResult::mcSyncCrash},
+        {"mcdead", &CampaignResult::mcDeadlock},
+};
+constexpr size_t kRequiredResultFields = 10;
+
+bool
+parseResultField(const FieldMember<CampaignResult> &member,
+                 const std::string &text, CampaignResult &r)
+{
+    return parseField(member, text, r, 0, kNoLimit) == FieldParse::Ok;
+}
+
+/** Cell coordinates and result from a parsed record. */
+bool
+cellFromFields(const std::string &model, const std::string &vr,
+               CampaignCell &out)
+{
+    int64_t kind;
+    if (!parseNumber(model.c_str(), kind) ||
+        !parseNumber(vr.c_str(), out.vrFrac))
+        return false;
+    out.model = static_cast<ModelKind>(kind);
+    out.result.workload = out.workload;
+    out.result.model = models::modelKindName(out.model);
+    return true;
+}
+
+std::string
+gridCsvHeader()
+{
+    std::string header = "workload,model,vr";
+    for (const auto &[key, member] : kResultFields)
+        header += std::string(",") + key;
+    return header;
+}
+
+} // namespace
+
+std::string
+resultToKv(const CampaignResult &r)
+{
+    std::string out;
+    for (const auto &[key, member] : kResultFields)
+        out += std::string(key) + " " + formatField(member, r) + "\n";
+    return out;
+}
+
+bool
+resultFromKv(const std::map<std::string, std::string> &kv,
+             CampaignResult &out)
+{
+    for (size_t i = 0; i < std::size(kResultFields); ++i) {
+        const auto &[key, member] = kResultFields[i];
+        auto it = kv.find(key);
+        if (it == kv.end()) {
+            if (i < kRequiredResultFields)
+                return false;
+        } else if (!parseResultField(member, it->second, out)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+std::string
+cellToKv(const CampaignCell &cell)
+{
+    char vr[32];
+    std::snprintf(vr, sizeof(vr), "%.17g", cell.vrFrac);
+    return "workload " + cell.workload + "\nmodel " +
+           std::to_string(static_cast<int>(cell.model)) + "\nvr " + vr +
+           "\n" + resultToKv(cell.result);
+}
+
+bool
+cellFromKv(const std::map<std::string, std::string> &kv,
+           CampaignCell &out)
+{
+    auto wl = kv.find("workload");
+    auto model = kv.find("model");
+    auto vr = kv.find("vr");
+    if (wl == kv.end() || model == kv.end() || vr == kv.end())
+        return false;
+    out.workload = wl->second;
+    return cellFromFields(model->second, vr->second, out) &&
+           resultFromKv(kv, out.result);
+}
+
 void
 saveGrid(const std::string &path, const EvaluationGrid &grid)
 {
     std::ostringstream out;
-    out << "workload,model,vr,runs,masked,sdc,crash,timeout,"
-           "enginefault,retries,injected,committed,wrongpath,"
-           "weighted,wsum,wunsafe,wsqsum,wusqsum,"
-           "mcchm,mcscs,mcccs,mcsync,mcdead\n";
+    out << gridCsvHeader() << "\n";
     for (const auto &c : grid.cells) {
-        // %.17g round-trips any double exactly: reweighted AVM from a
-        // reloaded grid is bit-identical to the freshly computed one.
-        char wbuf[128];
-        std::snprintf(wbuf, sizeof(wbuf), "%d,%.17g,%.17g,%.17g,%.17g",
-                      c.result.weightedModel ? 1 : 0, c.result.weightSum,
-                      c.result.weightUnsafe, c.result.weightSqSum,
-                      c.result.weightUnsafeSqSum);
         out << c.workload << "," << static_cast<int>(c.model) << ","
-            << c.vrFrac << "," << c.result.runs << "," << c.result.masked
-            << "," << c.result.sdc << "," << c.result.crash << ","
-            << c.result.timeout << "," << c.result.engineFault << ","
-            << c.result.retries << "," << c.result.injectedErrors << ","
-            << c.result.committedInstructions << ","
-            << c.result.wrongPathInjections << "," << wbuf << ","
-            << c.result.mcCoherenceMasked << ","
-            << c.result.mcSdcSameCore << "," << c.result.mcSdcCrossCore
-            << "," << c.result.mcSyncCrash << ","
-            << c.result.mcDeadlock << "\n";
+            << c.vrFrac;
+        for (const auto &[key, member] : kResultFields)
+            out << "," << formatField(member, c.result);
+        out << "\n";
     }
     // Atomic publication: a reader (or a crash) never sees a torn grid.
     fatal_if(!atomicWriteFile(path, out.str()), "cannot write '%s'",
@@ -69,51 +170,25 @@ std::optional<EvaluationGrid>
 loadGrid(const std::string &path)
 {
     std::ifstream in(path);
-    if (!in)
-        return std::nullopt;
-    std::string header;
-    std::getline(in, header);
-    if (header.rfind("workload,model,vr", 0) != 0)
+    std::string line;
+    if (!std::getline(in, line) || line != gridCsvHeader())
         return std::nullopt;
     EvaluationGrid grid;
-    std::string line;
     while (std::getline(in, line)) {
+        std::vector<std::string> tok;
         std::istringstream ls(line);
+        for (std::string t; std::getline(ls, t, ',');)
+            tok.push_back(std::move(t));
         CampaignCell cell;
-        std::string tok;
-        int model;
-        auto field = [&](auto &dst) {
-            if (!std::getline(ls, tok, ','))
-                return false;
-            std::istringstream(tok) >> dst;
-            return true;
-        };
-        if (!std::getline(ls, cell.workload, ','))
+        if (tok.size() != 3 + std::size(kResultFields))
             return std::nullopt;
-        int weighted = 0;
-        if (!field(model) || !field(cell.vrFrac) ||
-            !field(cell.result.runs) || !field(cell.result.masked) ||
-            !field(cell.result.sdc) || !field(cell.result.crash) ||
-            !field(cell.result.timeout) ||
-            !field(cell.result.engineFault) ||
-            !field(cell.result.retries) ||
-            !field(cell.result.injectedErrors) ||
-            !field(cell.result.committedInstructions) ||
-            !field(cell.result.wrongPathInjections) ||
-            !field(weighted) || !field(cell.result.weightSum) ||
-            !field(cell.result.weightUnsafe) ||
-            !field(cell.result.weightSqSum) ||
-            !field(cell.result.weightUnsafeSqSum) ||
-            !field(cell.result.mcCoherenceMasked) ||
-            !field(cell.result.mcSdcSameCore) ||
-            !field(cell.result.mcSdcCrossCore) ||
-            !field(cell.result.mcSyncCrash) ||
-            !field(cell.result.mcDeadlock))
+        cell.workload = tok[0];
+        if (!cellFromFields(tok[1], tok[2], cell))
             return std::nullopt;
-        cell.result.weightedModel = weighted != 0;
-        cell.model = static_cast<ModelKind>(model);
-        cell.result.workload = cell.workload;
-        cell.result.model = models::modelKindName(cell.model);
+        for (size_t i = 0; i < std::size(kResultFields); ++i)
+            if (!parseResultField(kResultFields[i].second, tok[3 + i],
+                                  cell.result))
+                return std::nullopt;
         grid.cells.push_back(std::move(cell));
     }
     return grid.cells.empty() ? std::nullopt
@@ -193,25 +268,63 @@ specWorkloads(const GridSpec &spec)
     return workloads::workloadNames();
 }
 
+/**
+ * `<cache>/<prefix>_<workload>_n<runs>_m<model>_vr<VR>_s<seed>_x<scale>`
+ * plus the adaptive, IS and mc suffixes and `tail`: one cell's file.
+ */
+std::string
+cellPath(const ToolflowOptions &opt, const char *prefix,
+         const std::string &workload, ModelKind kind, double vr,
+         const char *tail)
+{
+    char buf[160];
+    std::snprintf(buf, sizeof(buf), "_m%d_vr%02d_s%llu_x%d%s%s%s%s",
+                  static_cast<int>(kind),
+                  static_cast<int>(vr * 100 + 0.5),
+                  static_cast<unsigned long long>(opt.seed),
+                  opt.workloadScale, adaptiveSuffix(opt).c_str(),
+                  isSuffix(opt).c_str(),
+                  mcSuffix(opt, workload).c_str(), tail);
+    return opt.cacheDir + "/" +
+           Toolflow::cacheTag(prefix, workload,
+                              static_cast<uint64_t>(cellRunCap(opt))) +
+           buf;
+}
+
 } // namespace
 
 std::string
-gridCachePath(const ToolflowOptions &opt)
+gridCachePath(const ToolflowOptions &opt, const GridSpec &spec)
 {
     if (opt.cacheDir.empty())
         return "";
+    // What shapes the grid but has no place in the name: its
+    // workloads, VR levels and characterization sizes.
+    std::ostringstream shape;
+    shape.precision(17);
+    for (const auto &w : specWorkloads(spec))
+        shape << w << ",";
+    for (double vr : opt.vrLevels)
+        shape << vr << ",";
+    shape << "ia" << opt.iaCountPerOp << ",wa" << opt.waMaxOps << ",da"
+          << opt.daSampleOps;
+    const std::string key = shape.str();
     char buf[160];
-    // "_p5" = grid-file revision: p2 added the enginefault/retries
+    // "_p6" = grid-file revision: p2 added the enginefault/retries
     // columns; p3 invalidated grids derived from float-precision
     // arrival times; p4 added the weighted-estimator columns
     // (weighted, wsum, wunsafe, wsqsum); p5 added the multi-core
     // refinement columns and the mc geometry in the name (a grid may
-    // contain threaded cells, whose results depend on it).
-    std::snprintf(buf, sizeof(buf), "grid_r%d_s%llu_x%d%s%s_c%uq%u_p5.csv",
+    // contain threaded cells, whose results depend on it); p6 added
+    // the grid-shape CRC (`_g`), so grids of different workload lists,
+    // VR levels or model sizes no longer share a file.
+    std::snprintf(buf, sizeof(buf),
+                  "grid_r%d_s%llu_x%d%s%s_c%uq%u_g%08x_p6.csv",
                   cellRunCap(opt),
                   static_cast<unsigned long long>(opt.seed),
                   opt.workloadScale, adaptiveSuffix(opt).c_str(),
-                  isSuffix(opt).c_str(), opt.mcCores, opt.mcQuantum);
+                  isSuffix(opt).c_str(), opt.mcCores, opt.mcQuantum,
+                  crc32(key.data(), key.size()));
     return opt.cacheDir + "/" + buf;
 }
 
@@ -219,41 +332,17 @@ std::string
 cellJournalPath(const ToolflowOptions &opt, const std::string &workload,
                 ModelKind kind, double vr)
 {
-    char buf[160];
     // "_p5" = journal revision: record lines now carry the multi-core
     // outcome refinement (core/journal.cc, tea-journal-v3); p4 added
     // the run's exact log likelihood-ratio weight.
-    std::snprintf(buf, sizeof(buf), "_m%d_vr%02d_s%llu_x%d%s%s%s_p5.jnl",
-                  static_cast<int>(kind),
-                  static_cast<int>(vr * 100 + 0.5),
-                  static_cast<unsigned long long>(opt.seed),
-                  opt.workloadScale, adaptiveSuffix(opt).c_str(),
-                  isSuffix(opt).c_str(),
-                  mcSuffix(opt, workload).c_str());
-    return opt.cacheDir + "/" +
-           Toolflow::cacheTag(
-               "jnl", workload,
-               static_cast<uint64_t>(cellRunCap(opt))) +
-           buf;
+    return cellPath(opt, "jnl", workload, kind, vr, "_p5.jnl");
 }
 
 std::string
 cellManifestPath(const ToolflowOptions &opt, const std::string &workload,
                  ModelKind kind, double vr)
 {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), "_m%d_vr%02d_s%llu_x%d%s%s%s.json",
-                  static_cast<int>(kind),
-                  static_cast<int>(vr * 100 + 0.5),
-                  static_cast<unsigned long long>(opt.seed),
-                  opt.workloadScale, adaptiveSuffix(opt).c_str(),
-                  isSuffix(opt).c_str(),
-                  mcSuffix(opt, workload).c_str());
-    return opt.cacheDir + "/" +
-           Toolflow::cacheTag(
-               "mft", workload,
-               static_cast<uint64_t>(cellRunCap(opt))) +
-           buf;
+    return cellPath(opt, "mft", workload, kind, vr, ".json");
 }
 
 std::string
@@ -474,14 +563,11 @@ EvaluationGrid
 runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
 {
     const auto &opt = tf.options();
-    std::string cachePath;
-    if (spec.useCache && !opt.cacheDir.empty()) {
-        cachePath = gridCachePath(opt);
-        if (auto grid = loadGrid(cachePath)) {
-            inform("loaded cached evaluation grid %s",
-                   cachePath.c_str());
-            return *grid;
-        }
+    const std::string cachePath =
+        spec.useCache ? gridCachePath(opt, spec) : "";
+    if (auto grid = loadGrid(cachePath)) {
+        inform("loaded cached evaluation grid %s", cachePath.c_str());
+        return *grid;
     }
 
     obs::Span gridSpan("toolflow.grid", "toolflow");

@@ -20,6 +20,7 @@
 #include <array>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -117,8 +118,12 @@ std::vector<CellPlan> planEvaluationGrid(const ToolflowOptions &opt,
 
 /** Injection runs per cell: fixed count or the adaptive cap. */
 int cellRunCap(const ToolflowOptions &opt);
-/** Grid CSV path in the cache dir ("" when caching is off). */
-std::string gridCachePath(const ToolflowOptions &opt);
+/**
+ * Grid CSV path in the cache dir ("" when caching is off), named by
+ * everything the grid's cells depend on, the spec's workloads included.
+ */
+std::string gridCachePath(const ToolflowOptions &opt,
+                          const GridSpec &spec);
 /** Journal file path for one grid cell (unique per configuration). */
 std::string cellJournalPath(const ToolflowOptions &opt,
                             const std::string &workload,
@@ -166,7 +171,32 @@ CampaignCell runGridCell(
 EvaluationGrid runEvaluationGrid(Toolflow &tf, const GridSpec &spec);
 EvaluationGrid runEvaluationGrid(Toolflow &tf, bool useCache = true);
 
-/** Serialize/deserialize the grid (CSV in the toolflow cache dir). */
+// ---- result records --------------------------------------------------
+
+/**
+ * A CampaignResult's outcome fields as `key value` lines, in the one
+ * key order the fleet done-record, the daemon CELL frame and the grid
+ * CSV columns share (%.17g weight sums round-trip bit-exactly).
+ */
+std::string resultToKv(const inject::CampaignResult &r);
+/**
+ * Read resultToKv's keys back; `runs` .. `wrongpath` are required, the
+ * weighted-estimator and multi-core keys optional (older writers omit
+ * them). False on a missing required key or a malformed value.
+ */
+bool resultFromKv(const std::map<std::string, std::string> &kv,
+                  inject::CampaignResult &out);
+
+/** `workload`, `model`, %.17g `vr`, then resultToKv: a CELL body. */
+std::string cellToKv(const CampaignCell &cell);
+/** Rebuild a cell; false when cellToKv's or resultFromKv's keys fail. */
+bool cellFromKv(const std::map<std::string, std::string> &kv,
+                CampaignCell &out);
+
+/**
+ * Serialize/deserialize the grid (CSV in the toolflow cache dir);
+ * loadGrid is nullopt for a missing, empty-named or damaged file.
+ */
 void saveGrid(const std::string &path, const EvaluationGrid &grid);
 std::optional<EvaluationGrid> loadGrid(const std::string &path);
 

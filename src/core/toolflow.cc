@@ -1,6 +1,5 @@
 #include "core/toolflow.hh"
 
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -21,223 +20,6 @@
 namespace tea::core {
 
 using timing::CampaignStats;
-
-namespace {
-
-/**
- * Strict environment-integer parse: the whole value must be one
- * integer (base 0: decimal/hex/octal). Garbage or overflow keeps the
- * default with a warn, so a typo degrades to the documented default
- * instead of silently running a different experiment.
- */
-bool
-parseEnvI64(const char *name, const char *value, int64_t &out)
-{
-    errno = 0;
-    char *end = nullptr;
-    long long v = std::strtoll(value, &end, 0);
-    if (end == value || *end != '\0' || errno == ERANGE) {
-        warn("ignoring malformed %s='%s'", name, value);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseEnvU64(const char *name, const char *value, uint64_t &out)
-{
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(value, &end, 0);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        value[0] == '-') {
-        warn("ignoring malformed %s='%s'", name, value);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-parseEnvDouble(const char *name, const char *value, double &out)
-{
-    errno = 0;
-    char *end = nullptr;
-    double v = std::strtod(value, &end);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(v)) {
-        warn("ignoring malformed %s='%s'", name, value);
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-} // namespace
-
-ToolflowOptions
-optionsFromEnv()
-{
-    ToolflowOptions opt;
-    if (const char *runs = std::getenv("REPRO_RUNS")) {
-        int64_t v;
-        if (parseEnvI64("REPRO_RUNS", runs, v)) {
-            if (v < 1) {
-                warn("clamping REPRO_RUNS=%lld to 1",
-                     static_cast<long long>(v));
-                v = 1;
-            } else if (v > 1000000) {
-                warn("clamping REPRO_RUNS=%lld to 1000000",
-                     static_cast<long long>(v));
-                v = 1000000;
-            }
-            opt.runsPerCell = static_cast<int>(v);
-        }
-    }
-    if (const char *full = std::getenv("REPRO_FULL");
-        full && full[0] == '1') {
-        opt.runsPerCell = inject::kStatisticalRuns;
-        opt.iaCountPerOp = 20000;
-        opt.waMaxOps = 100000;
-        opt.daSampleOps = 100000;
-    }
-    if (const char *seed = std::getenv("REPRO_SEED")) {
-        uint64_t v;
-        if (parseEnvU64("REPRO_SEED", seed, v))
-            opt.seed = v;
-    }
-    if (const char *cache = std::getenv("REPRO_CACHE"))
-        opt.cacheDir = cache;
-    if (const char *resume = std::getenv("REPRO_RESUME"))
-        opt.resume = resume[0] == '1';
-    if (const char *dl = std::getenv("REPRO_RUN_DEADLINE_MS")) {
-        int64_t v;
-        if (parseEnvI64("REPRO_RUN_DEADLINE_MS", dl, v)) {
-            if (v < 0) {
-                warn("clamping REPRO_RUN_DEADLINE_MS=%lld to 0 "
-                     "(disabled)",
-                     static_cast<long long>(v));
-                v = 0;
-            }
-            opt.runDeadlineMs = v;
-        }
-    }
-    if (const char *ci = std::getenv("REPRO_CI_TARGET")) {
-        double v;
-        if (parseEnvDouble("REPRO_CI_TARGET", ci, v)) {
-            if (v < 0.0) {
-                warn("clamping REPRO_CI_TARGET=%g to 0 (adaptive off)",
-                     v);
-                v = 0.0;
-            } else if (v >= 0.5) {
-                warn("clamping REPRO_CI_TARGET=%g to 0.49", v);
-                v = 0.49;
-            }
-            opt.ciTarget = v;
-        }
-    }
-    if (const char *conf = std::getenv("REPRO_CI_CONF")) {
-        double v;
-        if (parseEnvDouble("REPRO_CI_CONF", conf, v)) {
-            if (v <= 0.5 || v >= 1.0) {
-                warn("REPRO_CI_CONF=%g outside (0.5, 1); keeping %g", v,
-                     opt.ciConf);
-            } else {
-                opt.ciConf = v;
-            }
-        }
-    }
-    if (const char *cap = std::getenv("REPRO_MAX_RUNS")) {
-        uint64_t v;
-        if (parseEnvU64("REPRO_MAX_RUNS", cap, v))
-            opt.maxAdaptiveRuns = v;
-    }
-    if (const char *is = std::getenv("REPRO_IS"))
-        opt.isEnable = is[0] == '1';
-    if (const char *boost = std::getenv("REPRO_IS_BOOST")) {
-        double v;
-        if (parseEnvDouble("REPRO_IS_BOOST", boost, v)) {
-            if (v < 1.0) {
-                warn("clamping REPRO_IS_BOOST=%g to 1 (no tilt)", v);
-                v = 1.0;
-            } else if (v > 64.0) {
-                warn("clamping REPRO_IS_BOOST=%g to 64", v);
-                v = 64.0;
-            }
-            opt.isBoost = v;
-        }
-    }
-    if (const char *floor = std::getenv("REPRO_IS_FLOOR")) {
-        double v;
-        if (parseEnvDouble("REPRO_IS_FLOOR", floor, v)) {
-            if (v <= 0.0 || v > 1.0) {
-                warn("REPRO_IS_FLOOR=%g outside (0, 1]; keeping %g", v,
-                     opt.isFloor);
-            } else {
-                opt.isFloor = v;
-            }
-        }
-    }
-    if (const char *mt = std::getenv("REPRO_IS_MAXTILT")) {
-        double v;
-        if (parseEnvDouble("REPRO_IS_MAXTILT", mt, v)) {
-            if (v < 0.1) {
-                warn("clamping REPRO_IS_MAXTILT=%g to 0.1", v);
-                v = 0.1;
-            }
-            opt.isMaxTilted = v;
-        }
-    }
-    if (const char *corpus = std::getenv("REPRO_IS_CORPUS")) {
-        uint64_t v;
-        if (parseEnvU64("REPRO_IS_CORPUS", corpus, v)) {
-            if (v < 100) {
-                warn("clamping REPRO_IS_CORPUS=%llu to 100",
-                     static_cast<unsigned long long>(v));
-                v = 100;
-            } else if (v > 1000000) {
-                warn("clamping REPRO_IS_CORPUS=%llu to 1000000",
-                     static_cast<unsigned long long>(v));
-                v = 1000000;
-            }
-            opt.isCorpusPerOp = v;
-        }
-    }
-    if (const char *cores = std::getenv("REPRO_MC_CORES")) {
-        uint64_t v;
-        if (parseEnvU64("REPRO_MC_CORES", cores, v)) {
-            if (v < 1) {
-                warn("clamping REPRO_MC_CORES=%llu to 1",
-                     static_cast<unsigned long long>(v));
-                v = 1;
-            } else if (v > isa::kMcMaxCores) {
-                warn("clamping REPRO_MC_CORES=%llu to %u",
-                     static_cast<unsigned long long>(v),
-                     isa::kMcMaxCores);
-                v = isa::kMcMaxCores;
-            }
-            opt.mcCores = static_cast<unsigned>(v);
-        }
-    }
-    if (const char *q = std::getenv("REPRO_MC_QUANTUM")) {
-        uint64_t v;
-        if (parseEnvU64("REPRO_MC_QUANTUM", q, v)) {
-            if (v < 1) {
-                warn("clamping REPRO_MC_QUANTUM=%llu to 1",
-                     static_cast<unsigned long long>(v));
-                v = 1;
-            } else if (v > 1000000) {
-                warn("clamping REPRO_MC_QUANTUM=%llu to 1000000",
-                     static_cast<unsigned long long>(v));
-                v = 1000000;
-            }
-            opt.mcQuantum = static_cast<unsigned>(v);
-        }
-    }
-    opt.threads = ThreadPool::defaultThreads();
-    return opt;
-}
 
 Toolflow::Toolflow(ToolflowOptions opt)
     : opt_(std::move(opt)),

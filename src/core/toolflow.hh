@@ -22,6 +22,7 @@
 #include "models/error_models.hh"
 #include "surrogate/importance.hh"
 #include "timing/dta_campaign.hh"
+#include "util/fields.hh"
 #include "util/threadpool.hh"
 #include "util/watchdog.hh"
 #include "workloads/workloads.hh"
@@ -96,13 +97,12 @@ struct ToolflowOptions
     /** Surrogate corpus: DTA ops per (type, VR) (REPRO_IS_CORPUS). */
     uint64_t isCorpusPerOp = 1500;
     /**
-     * Cores simulated for threaded ("-mt") workloads (REPRO_MC_CORES,
-     * clamped to [1, isa::kMcMaxCores]). Part of a threaded cell's
-     * identity: journals and caches from different core counts never
-     * mix. Single-core workloads ignore it.
+     * Cores simulated for threaded ("-mt") workloads (REPRO_MC_CORES).
+     * Part of a threaded cell's identity: journals and caches from
+     * different core counts never mix. Single-core workloads ignore it.
      */
     unsigned mcCores = 2;
-    /** Round-robin quantum in cycles (REPRO_MC_QUANTUM, >= 1). */
+    /** Round-robin quantum in cycles (REPRO_MC_QUANTUM). */
     unsigned mcQuantum = 64;
 
     /** True when confidence-driven campaign sizing is enabled. */
@@ -110,16 +110,37 @@ struct ToolflowOptions
 };
 
 /**
- * Read REPRO_RUNS / REPRO_FULL / REPRO_SEED / REPRO_CACHE /
- * REPRO_THREADS / REPRO_RESUME / REPRO_RUN_DEADLINE_MS /
- * REPRO_CI_TARGET / REPRO_CI_CONF / REPRO_MAX_RUNS / REPRO_IS /
- * REPRO_IS_BOOST / REPRO_IS_FLOOR / REPRO_IS_MAXTILT /
- * REPRO_IS_CORPUS / REPRO_MC_CORES / REPRO_MC_QUANTUM overrides.
- * Malformed values are rejected with a warn and the default kept;
- * out-of-range values are clamped — a typo in the environment can slow
- * a reproduction down but never crash or silently skew it.
+ * Read every table row's REPRO_* knob, then the REPRO_FULL preset
+ * (paper-scale runs and characterizations) and REPRO_THREADS. A
+ * malformed value warns and keeps the default; an out-of-range one
+ * warns and is clamped or ignored as its row says — a typo in the
+ * environment can slow a reproduction down but never crash or
+ * silently skew it.
  */
 ToolflowOptions optionsFromEnv();
+
+/**
+ * One scalar campaign option (vrLevels is a list: hand-written). Its
+ * text form and parse are formatField/parseField (util/fields.hh); a
+ * plan rejects what the environment would clamp or ignore.
+ */
+struct OptionField
+{
+    const char *planKey;
+    /** REPRO_* knob, or nullptr when the environment cannot set it. */
+    const char *envName;
+    FieldMember<ToolflowOptions> member;
+    /** Valid range, inclusive (integer bounds are exact doubles). */
+    double lo = 0, hi = kNoLimit;
+    /** An out-of-range REPRO_* value keeps the default, not clamps. */
+    bool envKeepsDefault = false;
+};
+
+/** Every scalar campaign option, in fleet-plan key order. */
+const std::vector<OptionField> &optionFields();
+
+/** Valid VR levels: the supply stays well above threshold. */
+constexpr double kMinVrFrac = 0.0, kMaxVrFrac = 0.5;
 
 class Toolflow
 {

@@ -410,24 +410,19 @@ fleetOptionsFromEnv()
 {
     FleetOptions fopt;
     int64_t v;
-    if (envI64("REPRO_FLEET_WORKERS", v))
-        fopt.workers = static_cast<int>(std::clamp<int64_t>(v, 0, 256));
+    if (envClamped("REPRO_FLEET_WORKERS", kWorkersRange, v))
+        fopt.workers = static_cast<int>(v);
     if (const char *bin = std::getenv("REPRO_FLEET_WORKER_BIN"))
         fopt.workerBin = bin;
     if (const char *dir = std::getenv("REPRO_FLEET_DIR"))
         fopt.spoolDir = dir;
-    if (envI64("REPRO_FLEET_LEASE_MS", v))
-        fopt.leaseMs = std::clamp<int64_t>(v, 100, 3600000);
-    if (envI64("REPRO_FLEET_ATTEMPTS", v))
-        fopt.maxAttempts =
-            static_cast<int>(std::clamp<int64_t>(v, 1, 100));
-    if (envI64("REPRO_FLEET_SHARD_RUNS", v))
-        fopt.shardRuns =
-            static_cast<uint64_t>(std::clamp<int64_t>(v, 0, 1000000));
-    if (envI64("REPRO_FLEET_WORKER_THREADS", v))
-        fopt.workerThreads =
-            static_cast<unsigned>(std::clamp<int64_t>(
-                v, 0, ThreadPool::kMaxThreads));
+    envClamped("REPRO_FLEET_LEASE_MS", kLeaseMsRange, fopt.leaseMs);
+    if (envClamped("REPRO_FLEET_ATTEMPTS", kAttemptsRange, v))
+        fopt.maxAttempts = static_cast<int>(v);
+    if (envClamped("REPRO_FLEET_SHARD_RUNS", kShardRunsRange, v))
+        fopt.shardRuns = static_cast<uint64_t>(v);
+    if (envClamped("REPRO_FLEET_WORKER_THREADS", kWorkerThreadsRange, v))
+        fopt.workerThreads = static_cast<unsigned>(v);
     return fopt;
 }
 
@@ -435,14 +430,11 @@ EvaluationGrid
 runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
              const GridSpec &spec)
 {
-    std::string cachePath;
-    if (spec.useCache && !opt.cacheDir.empty()) {
-        cachePath = core::gridCachePath(opt);
-        if (auto grid = core::loadGrid(cachePath)) {
-            inform("loaded cached evaluation grid %s",
-                   cachePath.c_str());
-            return *grid;
-        }
+    const std::string cachePath =
+        spec.useCache ? core::gridCachePath(opt, spec) : "";
+    if (auto grid = core::loadGrid(cachePath)) {
+        inform("loaded cached evaluation grid %s", cachePath.c_str());
+        return *grid;
     }
     if (fopt.workers <= 0 || fopt.workerBin.empty()) {
         core::Toolflow tf(opt);

@@ -38,6 +38,8 @@
 #include <string>
 
 #include "core/results.hh"
+#include "util/env.hh"
+#include "util/threadpool.hh"
 
 namespace tea::fleet {
 
@@ -67,11 +69,18 @@ struct FleetOptions
     int64_t pollMs = 25;
 };
 
+/** Fleet setting ranges (REPRO_FLEET_* clamps; --workers rejects). */
+inline constexpr IntRange kWorkersRange{0, 256};
+inline constexpr IntRange kAttemptsRange{1, 100};
+inline constexpr IntRange kShardRunsRange{0, 1000000};
+inline constexpr IntRange kWorkerThreadsRange{0, ThreadPool::kMaxThreads};
+
 /**
  * Read REPRO_FLEET_WORKERS / REPRO_FLEET_WORKER_BIN / REPRO_FLEET_DIR
  * / REPRO_FLEET_LEASE_MS / REPRO_FLEET_ATTEMPTS /
  * REPRO_FLEET_SHARD_RUNS / REPRO_FLEET_WORKER_THREADS overrides.
- * Malformed values warn and keep the default.
+ * Malformed values warn and keep the default; out-of-range ones warn
+ * and clamp.
  */
 FleetOptions fleetOptionsFromEnv();
 

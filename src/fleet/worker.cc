@@ -91,10 +91,8 @@ struct TestHooks
     static TestHooks fromEnv()
     {
         TestHooks h;
-        if (const char *v = std::getenv("TEA_FLEET_TEST_CRASH_RUNS"))
-            h.crashAfterRuns = std::strtoll(v, nullptr, 10);
-        if (const char *v = std::getenv("TEA_FLEET_TEST_POISON_UNIT"))
-            h.poisonUnit = std::strtoll(v, nullptr, 10);
+        envI64("TEA_FLEET_TEST_CRASH_RUNS", h.crashAfterRuns);
+        envI64("TEA_FLEET_TEST_POISON_UNIT", h.poisonUnit);
         return h;
     }
 };
@@ -189,9 +187,9 @@ workerMain(const std::string &spoolDir)
     core::Toolflow tf(plan->opt);
     std::vector<CellPlan> cells =
         core::planEvaluationGrid(plan->opt, plan->spec);
-    std::string gridCsv = plan->spec.useCache
-                              ? core::gridCachePath(plan->opt)
-                              : std::string();
+    std::string gridCsv =
+        plan->spec.useCache ? core::gridCachePath(plan->opt, plan->spec)
+                            : std::string();
 
     obs::Registry &reg = obs::Registry::global();
     obs::Counter granted =

@@ -1,10 +1,10 @@
 #include "fleet/workunit.hh"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
 #include "util/crc32.hh"
+#include "util/env.hh"
 
 namespace tea::fleet {
 
@@ -60,43 +60,29 @@ unsealBody(const std::string &content)
 
 namespace {
 
-/** %.17g — doubles round-trip bit-exactly through the plan file. */
-std::string
-fmtDouble(double v)
+/** The plan keys outside the option table. */
+constexpr const char *kLeaseMsKey = "leasems";
+constexpr const char *kUseCacheKey = "usecache";
+constexpr const char *kVrLevelsKey = "vrlevels";
+constexpr const char *kWorkloadsKey = "workloads";
+
+/** `key` from a parsed body as a u64; false when absent or malformed. */
+bool
+getU64(const std::map<std::string, std::string> &kv, const char *key,
+       uint64_t &out)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    auto it = kv.find(key);
+    return it != kv.end() && parseNumber(it->second.c_str(), out);
 }
 
-/**
- * Minimal line scanner: `key` = first word, `value` = rest of line.
- * Unknown keys are ignored so the format can grow.
- */
-struct LineScanner
+/** The body of a sealed file with header line `magic`, as a key map. */
+std::optional<std::map<std::string, std::string>>
+parseSealed(const std::string &content, const char *magic)
 {
-    std::istringstream in;
-    explicit LineScanner(const std::string &body) : in(body) {}
-
-    bool next(std::string &key, std::string &value)
-    {
-        std::string line;
-        while (std::getline(in, line)) {
-            if (line.empty())
-                continue;
-            size_t sp = line.find(' ');
-            key = line.substr(0, sp);
-            value = sp == std::string::npos ? "" : line.substr(sp + 1);
-            return true;
-        }
-        return false;
-    }
-};
-
-uint64_t
-toU64(const std::string &v)
-{
-    return std::strtoull(v.c_str(), nullptr, 10);
+    auto body = unsealBody(content);
+    if (!body || body->rfind(std::string(magic) + "\n", 0) != 0)
+        return std::nullopt;
+    return parseKv(body->substr(body->find('\n') + 1));
 }
 
 } // namespace
@@ -117,33 +103,21 @@ WorkUnit::serialize() const
 std::optional<WorkUnit>
 WorkUnit::parse(const std::string &content)
 {
-    auto body = unsealBody(content);
-    if (!body || body->rfind("tea-fleet-unit-v1\n", 0) != 0)
+    auto kv = parseSealed(content, "tea-fleet-unit-v1");
+    if (!kv)
         return std::nullopt;
     WorkUnit u;
-    LineScanner sc(body->substr(body->find('\n') + 1));
-    std::string key, value;
-    bool sawKind = false;
-    while (sc.next(key, value)) {
-        if (key == "unit")
-            u.id = toU64(value);
-        else if (key == "kind") {
-            if (value == "cell")
-                u.kind = Kind::Cell;
-            else if (value == "range")
-                u.kind = Kind::Range;
-            else
-                return std::nullopt;
-            sawKind = true;
-        } else if (key == "cell")
-            u.cell = toU64(value);
-        else if (key == "lo")
-            u.lo = toU64(value);
-        else if (key == "hi")
-            u.hi = toU64(value);
-    }
-    if (!sawKind)
+    auto kind = kv->find("kind");
+    if (kind == kv->end() || !getU64(*kv, "unit", u.id) ||
+        !getU64(*kv, "cell", u.cell))
         return std::nullopt;
+    if (kind->second == "range") {
+        u.kind = Kind::Range;
+        if (!getU64(*kv, "lo", u.lo) || !getU64(*kv, "hi", u.hi))
+            return std::nullopt;
+    } else if (kind->second != "cell") {
+        return std::nullopt;
+    }
     return u;
 }
 
@@ -152,34 +126,18 @@ FleetPlan::serialize() const
 {
     std::ostringstream out;
     out << "tea-fleet-plan-v1\n";
-    out << "seed " << opt.seed << "\n";
-    out << "runs " << opt.runsPerCell << "\n";
-    out << "scale " << opt.workloadScale << "\n";
-    out << "iacount " << opt.iaCountPerOp << "\n";
-    out << "wamaxops " << opt.waMaxOps << "\n";
-    out << "dasampleops " << opt.daSampleOps << "\n";
-    out << "threads " << opt.threads << "\n";
-    out << "resume " << (opt.resume ? 1 : 0) << "\n";
-    out << "deadlinems " << opt.runDeadlineMs << "\n";
-    out << "maxattempts " << opt.maxRunAttempts << "\n";
-    out << "citarget " << fmtDouble(opt.ciTarget) << "\n";
-    out << "ciconf " << fmtDouble(opt.ciConf) << "\n";
-    out << "maxadaptive " << opt.maxAdaptiveRuns << "\n";
-    out << "isenable " << (opt.isEnable ? 1 : 0) << "\n";
-    out << "isboost " << fmtDouble(opt.isBoost) << "\n";
-    out << "isfloor " << fmtDouble(opt.isFloor) << "\n";
-    out << "ismaxtilt " << fmtDouble(opt.isMaxTilted) << "\n";
-    out << "iscorpus " << opt.isCorpusPerOp << "\n";
-    out << "mccores " << opt.mcCores << "\n";
-    out << "mcquantum " << opt.mcQuantum << "\n";
-    out << "cachedir " << opt.cacheDir << "\n";
-    out << "leasems " << leaseMs << "\n";
-    out << "usecache " << (spec.useCache ? 1 : 0) << "\n";
-    out << "vrlevels";
-    for (double vr : opt.vrLevels)
-        out << " " << fmtDouble(vr);
+    for (const core::OptionField &f : core::optionFields())
+        out << f.planKey << " " << formatField(f.member, opt) << "\n";
+    out << kLeaseMsKey << " " << leaseMs << "\n";
+    out << kUseCacheKey << " " << (spec.useCache ? 1 : 0) << "\n";
+    out << kVrLevelsKey;
+    for (double vr : opt.vrLevels) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), " %.17g", vr);
+        out << buf;
+    }
     out << "\n";
-    out << "workloads";
+    out << kWorkloadsKey;
     for (const auto &w : spec.workloads)
         out << " " << w;
     out << "\n";
@@ -187,81 +145,59 @@ FleetPlan::serialize() const
 }
 
 std::optional<FleetPlan>
-FleetPlan::parse(const std::string &content)
+FleetPlan::parse(const std::string &content, std::string *why)
 {
-    auto body = unsealBody(content);
-    if (!body || body->rfind("tea-fleet-plan-v1\n", 0) != 0)
+    auto reject = [why](std::string reason) -> std::optional<FleetPlan> {
+        if (why)
+            *why = std::move(reason);
         return std::nullopt;
+    };
+    auto kv = parseSealed(content, "tea-fleet-plan-v1");
+    if (!kv)
+        return reject("damaged or not a fleet plan");
+    // Unknown keys are skipped, so the format can grow; a missing key
+    // keeps its default.
     FleetPlan p;
+    for (const core::OptionField &f : core::optionFields()) {
+        auto it = kv->find(f.planKey);
+        if (it != kv->end() &&
+            parseField(f.member, it->second, p.opt, f.lo, f.hi) !=
+                FieldParse::Ok)
+            return reject(std::string("bad ") + f.planKey + " '" +
+                          it->second + "'");
+    }
+    auto get = [&kv](const char *key) -> const std::string * {
+        auto it = kv->find(key);
+        return it == kv->end() ? nullptr : &it->second;
+    };
+    if (const std::string *v = get(kLeaseMsKey);
+        v && (!parseNumber(v->c_str(), p.leaseMs) ||
+              !kLeaseMsRange.contains(p.leaseMs)))
+        return reject("bad leasems '" + *v + "'");
+    if (const std::string *v = get(kUseCacheKey)) {
+        if (*v != "0" && *v != "1")
+            return reject("bad usecache '" + *v + "'");
+        p.spec.useCache = *v == "1";
+    }
     p.opt.vrLevels.clear();
-    LineScanner sc(body->substr(body->find('\n') + 1));
-    std::string key, value;
-    while (sc.next(key, value)) {
-        if (key == "seed")
-            p.opt.seed = toU64(value);
-        else if (key == "runs")
-            p.opt.runsPerCell = static_cast<int>(toU64(value));
-        else if (key == "scale")
-            p.opt.workloadScale = static_cast<int>(toU64(value));
-        else if (key == "iacount")
-            p.opt.iaCountPerOp = toU64(value);
-        else if (key == "wamaxops")
-            p.opt.waMaxOps = toU64(value);
-        else if (key == "dasampleops")
-            p.opt.daSampleOps = toU64(value);
-        else if (key == "threads") {
-            // Checked before narrowing: 2^32 + 1 must not wrap to 1,
-            // and no client may size a pool past the env clamp.
-            uint64_t v = toU64(value);
-            if (v > ThreadPool::kMaxThreads)
-                return std::nullopt;
-            p.opt.threads = static_cast<unsigned>(v);
-        } else if (key == "resume")
-            p.opt.resume = value == "1";
-        else if (key == "deadlinems")
-            p.opt.runDeadlineMs = static_cast<int64_t>(toU64(value));
-        else if (key == "maxattempts")
-            p.opt.maxRunAttempts = static_cast<int>(toU64(value));
-        else if (key == "citarget")
-            p.opt.ciTarget = std::strtod(value.c_str(), nullptr);
-        else if (key == "ciconf")
-            p.opt.ciConf = std::strtod(value.c_str(), nullptr);
-        else if (key == "maxadaptive")
-            p.opt.maxAdaptiveRuns = toU64(value);
-        else if (key == "isenable")
-            p.opt.isEnable = value == "1";
-        else if (key == "isboost")
-            p.opt.isBoost = std::strtod(value.c_str(), nullptr);
-        else if (key == "isfloor")
-            p.opt.isFloor = std::strtod(value.c_str(), nullptr);
-        else if (key == "ismaxtilt")
-            p.opt.isMaxTilted = std::strtod(value.c_str(), nullptr);
-        else if (key == "iscorpus")
-            p.opt.isCorpusPerOp = toU64(value);
-        else if (key == "mccores")
-            p.opt.mcCores = static_cast<unsigned>(toU64(value));
-        else if (key == "mcquantum")
-            p.opt.mcQuantum = static_cast<unsigned>(toU64(value));
-        else if (key == "cachedir")
-            p.opt.cacheDir = value;
-        else if (key == "leasems")
-            p.leaseMs = static_cast<int64_t>(toU64(value));
-        else if (key == "usecache")
-            p.spec.useCache = value == "1";
-        else if (key == "vrlevels") {
-            std::istringstream vs(value);
-            double vr;
-            while (vs >> vr)
-                p.opt.vrLevels.push_back(vr);
-        } else if (key == "workloads") {
-            std::istringstream ws(value);
-            std::string w;
-            while (ws >> w)
-                p.spec.workloads.push_back(w);
-        }
+    const std::string *vrs = get(kVrLevelsKey);
+    std::istringstream vs(vrs ? *vrs : std::string());
+    for (std::string tok; vs >> tok;) {
+        double vr;
+        if (!parseNumber(tok.c_str(), vr) || vr < core::kMinVrFrac ||
+            vr > core::kMaxVrFrac)
+            return reject("bad vrlevels entry '" + tok + "'");
+        p.opt.vrLevels.push_back(vr);
     }
     if (p.opt.vrLevels.empty())
-        return std::nullopt;
+        return reject("no vrlevels");
+    const std::string *names = get(kWorkloadsKey);
+    std::istringstream ws(names ? *names : std::string());
+    for (std::string w; ws >> w;) {
+        if (!workloads::isKnownWorkload(w))
+            return reject("unknown workload '" + w + "'");
+        p.spec.workloads.push_back(w);
+    }
     return p;
 }
 
@@ -272,85 +208,19 @@ UnitResult::serialize() const
     out << "tea-fleet-done-v1\n";
     out << "unit " << unit << "\n";
     out << "fresh " << fresh << "\n";
-    out << "runs " << result.runs << "\n";
-    out << "masked " << result.masked << "\n";
-    out << "sdc " << result.sdc << "\n";
-    out << "crash " << result.crash << "\n";
-    out << "timeout " << result.timeout << "\n";
-    out << "enginefault " << result.engineFault << "\n";
-    out << "retries " << result.retries << "\n";
-    out << "injected " << result.injectedErrors << "\n";
-    out << "committed " << result.committedInstructions << "\n";
-    out << "wrongpath " << result.wrongPathInjections << "\n";
-    out << "weighted " << (result.weightedModel ? 1 : 0) << "\n";
-    out << "wsum " << fmtDouble(result.weightSum) << "\n";
-    out << "wunsafe " << fmtDouble(result.weightUnsafe) << "\n";
-    out << "wsqsum " << fmtDouble(result.weightSqSum) << "\n";
-    out << "wusqsum " << fmtDouble(result.weightUnsafeSqSum) << "\n";
-    out << "mcchm " << result.mcCoherenceMasked << "\n";
-    out << "mcscs " << result.mcSdcSameCore << "\n";
-    out << "mcccs " << result.mcSdcCrossCore << "\n";
-    out << "mcsync " << result.mcSyncCrash << "\n";
-    out << "mcdead " << result.mcDeadlock << "\n";
+    out << core::resultToKv(result);
     return sealBody(out.str());
 }
 
 std::optional<UnitResult>
 UnitResult::parse(const std::string &content)
 {
-    auto body = unsealBody(content);
-    if (!body || body->rfind("tea-fleet-done-v1\n", 0) != 0)
-        return std::nullopt;
+    auto kv = parseSealed(content, "tea-fleet-done-v1");
     UnitResult r;
-    LineScanner sc(body->substr(body->find('\n') + 1));
-    std::string key, value;
-    while (sc.next(key, value)) {
-        if (key == "unit")
-            r.unit = toU64(value);
-        else if (key == "fresh")
-            r.fresh = toU64(value);
-        else if (key == "runs")
-            r.result.runs = toU64(value);
-        else if (key == "masked")
-            r.result.masked = toU64(value);
-        else if (key == "sdc")
-            r.result.sdc = toU64(value);
-        else if (key == "crash")
-            r.result.crash = toU64(value);
-        else if (key == "timeout")
-            r.result.timeout = toU64(value);
-        else if (key == "enginefault")
-            r.result.engineFault = toU64(value);
-        else if (key == "retries")
-            r.result.retries = toU64(value);
-        else if (key == "injected")
-            r.result.injectedErrors = toU64(value);
-        else if (key == "committed")
-            r.result.committedInstructions = toU64(value);
-        else if (key == "wrongpath")
-            r.result.wrongPathInjections = toU64(value);
-        else if (key == "weighted")
-            r.result.weightedModel = value == "1";
-        else if (key == "wsum")
-            r.result.weightSum = std::strtod(value.c_str(), nullptr);
-        else if (key == "wunsafe")
-            r.result.weightUnsafe = std::strtod(value.c_str(), nullptr);
-        else if (key == "wsqsum")
-            r.result.weightSqSum = std::strtod(value.c_str(), nullptr);
-        else if (key == "wusqsum")
-            r.result.weightUnsafeSqSum =
-                std::strtod(value.c_str(), nullptr);
-        else if (key == "mcchm")
-            r.result.mcCoherenceMasked = toU64(value);
-        else if (key == "mcscs")
-            r.result.mcSdcSameCore = toU64(value);
-        else if (key == "mcccs")
-            r.result.mcSdcCrossCore = toU64(value);
-        else if (key == "mcsync")
-            r.result.mcSyncCrash = toU64(value);
-        else if (key == "mcdead")
-            r.result.mcDeadlock = toU64(value);
-    }
+    if (!kv || !getU64(*kv, "unit", r.unit) ||
+        !getU64(*kv, "fresh", r.fresh) ||
+        !core::resultFromKv(*kv, r.result))
+        return std::nullopt;
     return r;
 }
 

@@ -26,6 +26,7 @@
 
 #include "core/results.hh"
 #include "core/toolflow.hh"
+#include "util/env.hh"
 
 namespace tea::fleet {
 
@@ -51,6 +52,9 @@ struct WorkUnit
     static std::optional<WorkUnit> parse(const std::string &content);
 };
 
+/** Lease TTLs: REPRO_FLEET_LEASE_MS clamps, a plan's `leasems` must fit. */
+inline constexpr IntRange kLeaseMsRange{100, 3600000};
+
 /**
  * The campaign plan a coordinator publishes and every worker loads:
  * the full ToolflowOptions (so workers reconstruct byte-identical
@@ -63,12 +67,17 @@ struct FleetPlan
     /** Lease TTL — workers heartbeat at a fraction of this. */
     int64_t leaseMs = 10000;
 
+    /** core::optionFields() in order, then the four keys below. */
     std::string serialize() const;
     /**
-     * nullopt on damaged bytes or a `threads` count above
-     * ThreadPool::kMaxThreads; unknown keys are skipped.
+     * nullopt on damaged bytes, a malformed or out-of-range field (see
+     * core::optionFields(); `leasems`, `vrlevels` against
+     * kLeaseMsRange and core::kMaxVrFrac), no VR level or an unknown
+     * workload; `why` says which. Unknown keys are skipped and missing
+     * ones keep their defaults.
      */
-    static std::optional<FleetPlan> parse(const std::string &content);
+    static std::optional<FleetPlan> parse(const std::string &content,
+                                          std::string *why = nullptr);
 };
 
 /** Outcome counters a worker publishes for a completed unit. */

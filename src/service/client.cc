@@ -1,8 +1,7 @@
 #include "service/client.hh"
 
-#include <cstdlib>
 
-#include "service/cellwire.hh"
+#include "core/results.hh"
 #include "util/logging.hh"
 
 namespace tea::service {
@@ -12,10 +11,10 @@ namespace {
 uint64_t
 kvU64(const std::map<std::string, std::string> &kv, const char *key)
 {
-    auto it = kv.find(key);
-    return it == kv.end()
-               ? 0
-               : std::strtoull(it->second.c_str(), nullptr, 10);
+    uint64_t v = 0;
+    if (auto it = kv.find(key); it != kv.end())
+        parseNumber(it->second.c_str(), v);
+    return v;
 }
 
 Client::Status

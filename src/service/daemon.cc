@@ -2,9 +2,9 @@
 
 #include <sstream>
 
+#include "core/results.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
-#include "service/cellwire.hh"
 #include "util/logging.hh"
 
 namespace tea::service {
@@ -51,11 +51,7 @@ bool
 parseId(const std::map<std::string, std::string> &kv, uint64_t &id)
 {
     auto it = kv.find("id");
-    if (it == kv.end())
-        return false;
-    char *end = nullptr;
-    id = std::strtoull(it->second.c_str(), &end, 10);
-    return end != it->second.c_str();
+    return it != kv.end() && parseNumber(it->second.c_str(), id);
 }
 
 } // namespace
@@ -242,10 +238,8 @@ ServiceDaemon::serveConnection(Socket sock)
                 break;
             }
             uint64_t cursor = 0;
-            auto fromIt = kv.find("from");
-            if (fromIt != kv.end())
-                cursor = std::strtoull(fromIt->second.c_str(),
-                                       nullptr, 10);
+            if (auto from = kv.find("from"); from != kv.end())
+                parseNumber(from->second.c_str(), cursor);
             auto streamed = obs::Registry::global().counter(
                 obs::metric::kDaemonCellsStreamed, "",
                 "cell frames streamed to watchers");

@@ -1,7 +1,6 @@
 #include "service/protocol.hh"
 
 #include <cstring>
-#include <sstream>
 
 #include "util/crc32.hh"
 
@@ -150,24 +149,6 @@ decodeFrame(std::string_view buf, Frame &out, size_t &consumed)
     // a structured Error instead of a cut connection.
     return out.version == kProtocolVersion ? DecodeStatus::Ok
                                            : DecodeStatus::VersionSkew;
-}
-
-std::map<std::string, std::string>
-parseKv(const std::string &body)
-{
-    std::map<std::string, std::string> kv;
-    std::istringstream in(body);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty())
-            continue;
-        size_t sp = line.find(' ');
-        std::string key = line.substr(0, sp);
-        std::string value =
-            sp == std::string::npos ? "" : line.substr(sp + 1);
-        kv.emplace(std::move(key), std::move(value));
-    }
-    return kv;
 }
 
 std::string

@@ -28,9 +28,10 @@
 #define TEA_SERVICE_PROTOCOL_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
+
+#include "util/env.hh"
 
 namespace tea::service {
 
@@ -117,8 +118,7 @@ DecodeStatus decodeFrame(std::string_view buf, Frame &out,
 
 // ---- key=value payload helpers -------------------------------------
 
-/** Parse a payload into its key -> value map (first key wins). */
-std::map<std::string, std::string> parseKv(const std::string &body);
+// Payloads parse with tea::parseKv (util/env.hh; first key wins).
 /** One `key value` line (value may be empty, may not contain '\n'). */
 std::string kvLine(const std::string &key, const std::string &value);
 std::string kvLine(const std::string &key, uint64_t value);

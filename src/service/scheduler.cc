@@ -57,18 +57,16 @@ daemonOptionsFromEnv()
     if (const char *v = std::getenv("REPRO_DAEMON_SPOOL"))
         d.spoolRoot = v;
     int64_t n;
-    if (envI64("REPRO_DAEMON_TCP_PORT", n))
-        d.tcpPort = static_cast<int>(std::clamp<int64_t>(n, -1, 65535));
-    if (envI64("REPRO_DAEMON_QUEUE", n))
-        d.queueCap = static_cast<int>(std::clamp<int64_t>(n, 1, 4096));
-    if (envI64("REPRO_DAEMON_CONCURRENCY", n))
-        d.concurrency =
-            static_cast<int>(std::clamp<int64_t>(n, 1, 64));
-    if (envI64("REPRO_DAEMON_CLIENT_INFLIGHT", n))
-        d.clientInflight =
-            static_cast<int>(std::clamp<int64_t>(n, 1, 4096));
-    if (envI64("REPRO_DAEMON_RETRY_MS", n))
-        d.retryMs = std::clamp<int64_t>(n, 1, 3600000);
+    if (envClamped("REPRO_DAEMON_TCP_PORT", kTcpPortRange, n))
+        d.tcpPort = static_cast<int>(n);
+    if (envClamped("REPRO_DAEMON_QUEUE", kQueueCapRange, n))
+        d.queueCap = static_cast<int>(n);
+    if (envClamped("REPRO_DAEMON_CONCURRENCY", kConcurrencyRange, n))
+        d.concurrency = static_cast<int>(n);
+    if (envClamped("REPRO_DAEMON_CLIENT_INFLIGHT", kClientInflightRange,
+                   n))
+        d.clientInflight = static_cast<int>(n);
+    envClamped("REPRO_DAEMON_RETRY_MS", kRetryMsRange, d.retryMs);
     return d;
 }
 
@@ -123,9 +121,10 @@ Scheduler::submit(const std::string &planBytes,
                   const std::string &client)
 {
     SubmitResult r;
-    auto plan = fleet::FleetPlan::parse(planBytes);
+    std::string why;
+    auto plan = fleet::FleetPlan::parse(planBytes, &why);
     if (!plan) {
-        r.rej = {ErrorCode::BadRequest, 0, "unparseable fleet plan"};
+        r.rej = {ErrorCode::BadRequest, 0, "invalid fleet plan: " + why};
         rejectionCounter(r.rej.code).inc(1);
         return r;
     }

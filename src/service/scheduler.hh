@@ -82,12 +82,20 @@ struct DaemonOptions
     fleet::FleetOptions fleet;
 };
 
+/** Daemon setting ranges (REPRO_DAEMON_* clamps; flags reject). */
+inline constexpr IntRange kTcpPortRange{-1, 65535};
+inline constexpr IntRange kQueueCapRange{1, 4096};
+inline constexpr IntRange kConcurrencyRange{1, 64};
+inline constexpr IntRange kClientInflightRange{1, 4096};
+inline constexpr IntRange kRetryMsRange{1, 3600000};
+
 /**
  * Read REPRO_DAEMON_SOCKET / REPRO_DAEMON_TCP_PORT /
  * REPRO_DAEMON_QUEUE / REPRO_DAEMON_CONCURRENCY /
  * REPRO_DAEMON_CLIENT_INFLIGHT / REPRO_DAEMON_RETRY_MS /
  * REPRO_DAEMON_SPOOL overrides (malformed values warn and keep the
- * default), plus the REPRO_FLEET_* fleet settings.
+ * default; out-of-range ones warn and clamp), plus the REPRO_FLEET_*
+ * fleet settings.
  */
 DaemonOptions daemonOptionsFromEnv();
 

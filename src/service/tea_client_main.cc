@@ -80,7 +80,7 @@ main(int argc, char **argv)
     std::string socketPath = "tea_daemon.sock";
     if (const char *v = std::getenv("REPRO_DAEMON_SOCKET"))
         socketPath = v;
-    int tcpPort = -1;
+    int64_t tcpPort = -1;
     std::string name = "tea-client";
     int i = 1;
     for (; i < argc; ++i) {
@@ -88,7 +88,11 @@ main(int argc, char **argv)
         if (!std::strcmp(a, "--socket") && i + 1 < argc) {
             socketPath = argv[++i];
         } else if (!std::strcmp(a, "--tcp") && i + 1 < argc) {
-            tcpPort = std::atoi(argv[++i]);
+            if (!parseNumber(argv[++i], tcpPort) || tcpPort < 1 ||
+                tcpPort > 65535) {
+                usage();
+                return 2;
+            }
         } else if (!std::strcmp(a, "--name") && i + 1 < argc) {
             name = argv[++i];
         } else {
@@ -101,9 +105,10 @@ main(int argc, char **argv)
     }
     std::string cmd = argv[i++];
 
-    auto client = tcpPort >= 0
-                      ? service::Client::connectTcp(tcpPort, name)
-                      : service::Client::connectUnix(socketPath, name);
+    auto client =
+        tcpPort >= 0
+            ? service::Client::connectTcp(static_cast<int>(tcpPort), name)
+            : service::Client::connectUnix(socketPath, name);
     if (!client) {
         std::fprintf(stderr, "tea-client: cannot connect to %s\n",
                      tcpPort >= 0 ? "daemon tcp port"
@@ -141,11 +146,11 @@ main(int argc, char **argv)
         return 0;
     }
     if (cmd == "status" || cmd == "watch" || cmd == "cancel") {
-        if (i >= argc) {
+        uint64_t id;
+        if (i >= argc || !parseNumber(argv[i], id)) {
             usage();
             return 2;
         }
-        uint64_t id = std::strtoull(argv[i], nullptr, 10);
         service::Client::Status st;
         if (cmd == "status") {
             if (!client->status(id, st))

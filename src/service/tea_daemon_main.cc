@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -32,16 +31,17 @@ usage()
         "(see docs/OPERATIONS.md); flags override them.\n");
 }
 
+/** Parse a flag's integer (util/env syntax) that must lie in `range`. */
 bool
-intArg(const char *flag, const char *value, int lo, int hi, int &out)
+intArg(const char *flag, const char *value, tea::IntRange range, int &out)
 {
-    if (!value)
-        return false;
-    char *end = nullptr;
-    long v = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0' || v < lo || v > hi) {
-        std::fprintf(stderr, "tea-daemon: bad %s value '%s'\n", flag,
-                     value);
+    int64_t v;
+    if (!value || !tea::parseNumber(value, v) || !range.contains(v)) {
+        std::fprintf(stderr,
+                     "tea-daemon: bad %s value '%s' (%lld..%lld)\n", flag,
+                     value ? value : "",
+                     static_cast<long long>(range.lo),
+                     static_cast<long long>(range.hi));
         return false;
     }
     out = static_cast<int>(v);
@@ -62,23 +62,25 @@ main(int argc, char **argv)
             opt.socketPath = v;
             ++i;
         } else if (!std::strcmp(a, "--tcp")) {
-            if (!intArg(a, v, 0, 65535, opt.tcpPort))
+            if (!intArg(a, v, service::kTcpPortRange, opt.tcpPort))
                 return 2;
             ++i;
         } else if (!std::strcmp(a, "--queue")) {
-            if (!intArg(a, v, 1, 4096, opt.queueCap))
+            if (!intArg(a, v, service::kQueueCapRange, opt.queueCap))
                 return 2;
             ++i;
         } else if (!std::strcmp(a, "--concurrency")) {
-            if (!intArg(a, v, 1, 64, opt.concurrency))
+            if (!intArg(a, v, service::kConcurrencyRange,
+                        opt.concurrency))
                 return 2;
             ++i;
         } else if (!std::strcmp(a, "--inflight")) {
-            if (!intArg(a, v, 1, 4096, opt.clientInflight))
+            if (!intArg(a, v, service::kClientInflightRange,
+                        opt.clientInflight))
                 return 2;
             ++i;
         } else if (!std::strcmp(a, "--workers")) {
-            if (!intArg(a, v, 0, 256, opt.fleet.workers))
+            if (!intArg(a, v, fleet::kWorkersRange, opt.fleet.workers))
                 return 2;
             ++i;
         } else if (!std::strcmp(a, "--spool") && v) {

@@ -1,11 +1,13 @@
 #include "util/threadpool.hh"
 
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <string>
 
+#include "util/env.hh"
 #include "util/logging.hh"
 
 namespace tea {
@@ -139,17 +141,14 @@ unsigned
 ThreadPool::defaultThreads()
 {
     if (const char *env = std::getenv("REPRO_THREADS")) {
-        // Accept "4" or a sweep list "1,2,4": the first entry governs.
-        // The field must be a clean integer ending at '\0' or ',' —
-        // "4abc" is a typo, not 4 threads.
-        errno = 0;
-        char *end = nullptr;
-        long n = std::strtol(env, &end, 10);
-        bool clean = end != env && (*end == '\0' || *end == ',') &&
-                     errno != ERANGE;
-        if (clean && n > 0) {
-            if (n > long{kMaxThreads}) {
-                warn("clamping REPRO_THREADS=%ld to %u", n, kMaxThreads);
+        // Accept "4" or a sweep list "1,2,4": the first entry governs,
+        // and it must be one clean integer — "4abc" is a typo, not 4.
+        int64_t n;
+        std::string first(env, std::strcspn(env, ","));
+        if (parseNumber(first.c_str(), n) && n > 0) {
+            if (n > int64_t{kMaxThreads}) {
+                warn("REPRO_THREADS=%s is out of range; clamped to %u",
+                     first.c_str(), kMaxThreads);
                 n = kMaxThreads;
             }
             return static_cast<unsigned>(n);

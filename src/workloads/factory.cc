@@ -22,28 +22,36 @@ workloadNames()
     return names;
 }
 
+namespace {
+
+/** Every buildable workload: the Table II seven, then the -mt ones. */
+const std::pair<const char *, Workload (*)(uint64_t, int)> kBuilders[] = {
+    {"sobel", buildSobel},     {"cg", buildCg},
+    {"k-means", buildKmeans},  {"srad_v1", buildSrad},
+    {"hotspot", buildHotspot}, {"is", buildIs},
+    {"mg", buildMg},           {"k-means-mt", buildKmeansMt},
+    {"hotspot-mt", buildHotspotMt},
+};
+
+} // namespace
+
+bool
+isKnownWorkload(const std::string &name)
+{
+    for (const auto &[known, build] : kBuilders)
+        if (name == known)
+            return true;
+    return false;
+}
+
 Workload
 buildWorkload(const std::string &name, uint64_t seed, int scale)
 {
-    fatal_if(scale < 1, "workload scale must be >= 1");
-    if (name == "sobel")
-        return buildSobel(seed, scale);
-    if (name == "cg")
-        return buildCg(seed, scale);
-    if (name == "k-means")
-        return buildKmeans(seed, scale);
-    if (name == "srad_v1")
-        return buildSrad(seed, scale);
-    if (name == "hotspot")
-        return buildHotspot(seed, scale);
-    if (name == "is")
-        return buildIs(seed, scale);
-    if (name == "mg")
-        return buildMg(seed, scale);
-    if (name == "k-means-mt")
-        return buildKmeansMt(seed, scale);
-    if (name == "hotspot-mt")
-        return buildHotspotMt(seed, scale);
+    fatal_if(scale < 1 || scale > kMaxScale,
+             "workload scale must be in [1, %d]", kMaxScale);
+    for (const auto &[known, build] : kBuilders)
+        if (name == known)
+            return build(seed, scale);
     fatal("unknown workload '%s'", name.c_str());
 }
 

@@ -49,10 +49,19 @@ bool isThreadedWorkload(const std::string &name);
 /** The seven benchmark names, in the paper's Table II order. */
 const std::vector<std::string> &workloadNames();
 
+/** True when buildWorkload knows `name` (the seven and the -mt ones). */
+bool isKnownWorkload(const std::string &name);
+
+/**
+ * The largest scale at which every workload still encodes: mg's finest
+ * grid row (256 * scale + 8 bytes) must fit a load's 14-bit offset.
+ */
+constexpr int kMaxScale = 31;
+
 /**
  * Build a workload by name ("sobel", "cg", "k-means", "srad_v1",
  * "hotspot", "is", "mg"). The seed makes the synthetic input
- * deterministic; scale >= 1 enlarges the input.
+ * deterministic; scale in [1, kMaxScale] enlarges the input.
  */
 Workload buildWorkload(const std::string &name, uint64_t seed = 1,
                        int scale = 1);

@@ -221,6 +221,51 @@ TEST(Results, TinyGridRuns)
     std::filesystem::remove_all("/tmp/tea_test_cache2");
 }
 
+TEST(Results, GridCacheKeyCoversTheWorkloadList)
+{
+    // Two grids that differ only in their workloads must not share a
+    // grid CSV: with the same seed, runs and scale, a {cg} grid run
+    // after a {sobel} grid in the same cache dir returns cg cells.
+    const std::string dir = "/tmp/tea_test_cache_gridkey";
+    std::filesystem::remove_all(dir);
+    auto opt = tinyOptions();
+    opt.cacheDir = dir;
+    Toolflow tf(opt);
+    GridSpec sobel, cg;
+    sobel.workloads = {"sobel"};
+    cg.workloads = {"cg"};
+    auto first = runEvaluationGrid(tf, sobel);
+    ASSERT_EQ(first.cells.size(), 3u);
+    EXPECT_EQ(first.cells[0].workload, "sobel");
+    auto second = runEvaluationGrid(tf, cg);
+    ASSERT_EQ(second.cells.size(), 3u);
+    for (const auto &cell : second.cells)
+        EXPECT_EQ(cell.workload, "cg");
+
+    // VR levels and model sizes are part of the key too; the same
+    // spec and options name the same file.
+    EXPECT_EQ(gridCachePath(opt, sobel), gridCachePath(opt, sobel));
+    EXPECT_NE(gridCachePath(opt, sobel), gridCachePath(opt, cg));
+    for (int change = 0; change < 4; ++change) {
+        auto other = opt;
+        if (change == 0)
+            other.vrLevels = {0.15};
+        else if (change == 1)
+            other.iaCountPerOp += 1;
+        else if (change == 2)
+            other.waMaxOps += 1;
+        else
+            other.daSampleOps += 1;
+        EXPECT_NE(gridCachePath(other, sobel), gridCachePath(opt, sobel))
+            << change;
+    }
+    // An empty workload list is the full grid, however it is spelled.
+    GridSpec all, listed;
+    listed.workloads = workloads::workloadNames();
+    EXPECT_EQ(gridCachePath(opt, all), gridCachePath(opt, listed));
+    std::filesystem::remove_all(dir);
+}
+
 TEST(OptionsFromEnv, Defaults)
 {
     unsetenv("REPRO_RUNS");

@@ -28,6 +28,7 @@
 #include "fleet/queue.hh"
 #include "fleet/workunit.hh"
 #include "util/fsatomic.hh"
+#include "workloads/workloads.hh"
 
 using namespace tea;
 using namespace tea::core;
@@ -125,7 +126,7 @@ Artifacts
 captureAndClear(const ToolflowOptions &opt, const GridSpec &spec)
 {
     Artifacts a;
-    std::string csvPath = gridCachePath(opt);
+    std::string csvPath = gridCachePath(opt, spec);
     a.csv = readFileToString(csvPath).value_or("");
     fs::remove(csvPath);
     for (const CellPlan &cp : planEvaluationGrid(opt, spec)) {
@@ -203,29 +204,72 @@ TEST(FleetFormats, SealRejectsDamage)
 
 TEST(FleetFormats, PlanRoundTripIsExact)
 {
+    // Every plan key set to a non-default, in-range value.
     FleetPlan plan;
-    plan.opt = tinyOptions("/tmp/some cache dir");
-    plan.opt.seed = 0xdeadbeefULL;
-    plan.opt.ciTarget = 0.012345678901234567;
-    plan.opt.vrLevels = {0.15, 0.2000000000000001};
+    ToolflowOptions &o = plan.opt;
+    const ToolflowOptions defaults;
+    o.seed = 0xdeadbeefULL;
+    o.runsPerCell = 7;
+    o.workloadScale = workloads::kMaxScale; // the row's upper bound
+    o.iaCountPerOp = 201;
+    o.waMaxOps = 502;
+    o.daSampleOps = 703;
+    o.threads = 3;
+    o.resume = true;
+    o.runDeadlineMs = 4321;
+    o.maxRunAttempts = 5;
+    o.ciTarget = 0.012345678901234567;
+    o.ciConf = 0.9900000000000001;
+    o.maxAdaptiveRuns = 999;
+    o.isEnable = true;
+    o.isBoost = 2.5;
+    o.isFloor = 0.3333333333333333;
+    o.isMaxTilted = 1e9;
+    o.isCorpusPerOp = 250;
+    o.mcCores = 4;
+    o.mcQuantum = 17;
+    o.cacheDir = "/tmp/some cache dir";
+    o.vrLevels = {0.15, 0.2000000000000001};
     plan.spec = tinySpec();
     plan.spec.useCache = false;
     plan.leaseMs = 777;
-    auto parsed = FleetPlan::parse(plan.serialize());
+    // The test itself must cover every table row.
+    for (const OptionField &f : optionFields())
+        EXPECT_NE(formatField(f.member, o), formatField(f.member, defaults))
+            << f.planKey << " is left at its default";
+
+    const std::string bytes = plan.serialize();
+    auto parsed = FleetPlan::parse(bytes);
     ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(parsed->opt.seed, plan.opt.seed);
-    EXPECT_EQ(parsed->opt.runsPerCell, plan.opt.runsPerCell);
-    EXPECT_EQ(parsed->opt.cacheDir, plan.opt.cacheDir);
-    EXPECT_EQ(parsed->opt.threads, plan.opt.threads);
+    const ToolflowOptions &p = parsed->opt;
+    EXPECT_EQ(p.seed, o.seed);
+    EXPECT_EQ(p.runsPerCell, o.runsPerCell);
+    EXPECT_EQ(p.workloadScale, o.workloadScale);
+    EXPECT_EQ(p.iaCountPerOp, o.iaCountPerOp);
+    EXPECT_EQ(p.waMaxOps, o.waMaxOps);
+    EXPECT_EQ(p.daSampleOps, o.daSampleOps);
+    EXPECT_EQ(p.threads, o.threads);
+    EXPECT_EQ(p.resume, o.resume);
+    EXPECT_EQ(p.runDeadlineMs, o.runDeadlineMs);
+    EXPECT_EQ(p.maxRunAttempts, o.maxRunAttempts);
     // Doubles must round-trip bit-exactly (%.17g) — the whole
     // byte-identity story rides on workers seeing the same plan.
-    EXPECT_EQ(parsed->opt.ciTarget, plan.opt.ciTarget);
-    ASSERT_EQ(parsed->opt.vrLevels.size(), 2u);
-    EXPECT_EQ(parsed->opt.vrLevels[0], plan.opt.vrLevels[0]);
-    EXPECT_EQ(parsed->opt.vrLevels[1], plan.opt.vrLevels[1]);
+    EXPECT_EQ(p.ciTarget, o.ciTarget);
+    EXPECT_EQ(p.ciConf, o.ciConf);
+    EXPECT_EQ(p.maxAdaptiveRuns, o.maxAdaptiveRuns);
+    EXPECT_EQ(p.isEnable, o.isEnable);
+    EXPECT_EQ(p.isBoost, o.isBoost);
+    EXPECT_EQ(p.isFloor, o.isFloor);
+    EXPECT_EQ(p.isMaxTilted, o.isMaxTilted);
+    EXPECT_EQ(p.isCorpusPerOp, o.isCorpusPerOp);
+    EXPECT_EQ(p.mcCores, o.mcCores);
+    EXPECT_EQ(p.mcQuantum, o.mcQuantum);
+    EXPECT_EQ(p.cacheDir, o.cacheDir);
+    EXPECT_EQ(p.vrLevels, o.vrLevels);
     EXPECT_EQ(parsed->spec.workloads, plan.spec.workloads);
     EXPECT_FALSE(parsed->spec.useCache);
     EXPECT_EQ(parsed->leaseMs, 777);
+    EXPECT_EQ(parsed->serialize(), bytes);
 }
 
 TEST(FleetFormats, PlanRejectsOversizedThreadCount)
@@ -258,20 +302,53 @@ TEST(FleetFormats, UnitResultRoundTrip)
     UnitResult r;
     r.unit = 9;
     r.fresh = 4;
-    r.result.runs = 6;
-    r.result.masked = 3;
-    r.result.sdc = 1;
-    r.result.crash = 1;
-    r.result.timeout = 1;
-    r.result.injectedErrors = 17;
-    r.result.committedInstructions = 54321;
+    inject::CampaignResult &c = r.result;
+    c.runs = 60;
+    c.masked = 30;
+    c.sdc = 11;
+    c.crash = 9;
+    c.timeout = 5;
+    c.engineFault = 5;
+    c.retries = 2;
+    c.injectedErrors = 17;
+    c.committedInstructions = 54321;
+    c.wrongPathInjections = 3;
+    c.weightedModel = true;
+    c.weightSum = 0.1234567890123456789;
+    c.weightUnsafe = 1e-300;
+    c.weightSqSum = 12345.678901234567;
+    c.weightUnsafeSqSum = 2.0 / 3.0;
+    c.mcCoherenceMasked = 6;
+    c.mcSdcSameCore = 7;
+    c.mcSdcCrossCore = 4;
+    c.mcSyncCrash = 1;
+    c.mcDeadlock = 8;
     auto parsed = UnitResult::parse(r.serialize());
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(parsed->unit, 9u);
     EXPECT_EQ(parsed->fresh, 4u);
-    EXPECT_EQ(parsed->result.runs, 6u);
-    EXPECT_EQ(parsed->result.masked, 3u);
-    EXPECT_EQ(parsed->result.committedInstructions, 54321u);
+    const inject::CampaignResult &g = parsed->result;
+    EXPECT_EQ(g.runs, c.runs);
+    EXPECT_EQ(g.masked, c.masked);
+    EXPECT_EQ(g.sdc, c.sdc);
+    EXPECT_EQ(g.crash, c.crash);
+    EXPECT_EQ(g.timeout, c.timeout);
+    EXPECT_EQ(g.engineFault, c.engineFault);
+    EXPECT_EQ(g.retries, c.retries);
+    EXPECT_EQ(g.injectedErrors, c.injectedErrors);
+    EXPECT_EQ(g.committedInstructions, c.committedInstructions);
+    EXPECT_EQ(g.wrongPathInjections, c.wrongPathInjections);
+    EXPECT_EQ(g.weightedModel, c.weightedModel);
+    // Weight sums round-trip bit-exactly (%.17g).
+    EXPECT_EQ(g.weightSum, c.weightSum);
+    EXPECT_EQ(g.weightUnsafe, c.weightUnsafe);
+    EXPECT_EQ(g.weightSqSum, c.weightSqSum);
+    EXPECT_EQ(g.weightUnsafeSqSum, c.weightUnsafeSqSum);
+    EXPECT_EQ(g.mcCoherenceMasked, c.mcCoherenceMasked);
+    EXPECT_EQ(g.mcSdcSameCore, c.mcSdcSameCore);
+    EXPECT_EQ(g.mcSdcCrossCore, c.mcSdcCrossCore);
+    EXPECT_EQ(g.mcSyncCrash, c.mcSyncCrash);
+    EXPECT_EQ(g.mcDeadlock, c.mcDeadlock);
 }
 
 // ---------------------------------------------------------------------

@@ -546,7 +546,7 @@ TEST(McChaos, FleetWorkerPathMatchesInProcess)
     core::Toolflow tf(opt);
     core::EvaluationGrid ref = core::runEvaluationGrid(tf, spec);
     ASSERT_EQ(ref.cells.size(), 3u);
-    std::string csvPath = core::gridCachePath(opt);
+    std::string csvPath = core::gridCachePath(opt, spec);
     auto refCsv = readFileToString(csvPath);
     ASSERT_TRUE(refCsv.has_value());
     fs::remove(csvPath);

@@ -288,6 +288,33 @@ TEST(OptionsFromEnv, RejectsAndClampsMalformedValues)
     unsetenv("REPRO_RESUME");
 }
 
+TEST(OptionsFromEnv, OneNumberSyntaxAndRowPolicies)
+{
+    // Every knob reads decimal or 0x hex — never octal — and an
+    // out-of-range value is clamped or ignored as its table row says.
+    Quiet q;
+    setenv("REPRO_RUNS", "010", 1);
+    setenv("REPRO_IS_CORPUS", "0x200", 1);
+    setenv("REPRO_MC_CORES", "99", 1);    // clamps to the core limit
+    setenv("REPRO_CI_CONF", "0.5", 1);    // open bound: keeps default
+    setenv("REPRO_IS_FLOOR", "0", 1);     // open bound: keeps default
+    setenv("REPRO_CI_TARGET", "0.7", 1);  // clamps to 0.49
+    setenv("REPRO_IS", "yes", 1);         // not 0/1: keeps default
+    auto opt = optionsFromEnv();
+    ToolflowOptions defaults;
+    EXPECT_EQ(opt.runsPerCell, 10);
+    EXPECT_EQ(opt.isCorpusPerOp, 512u);
+    EXPECT_EQ(opt.mcCores, isa::kMcMaxCores);
+    EXPECT_EQ(opt.ciConf, defaults.ciConf);
+    EXPECT_EQ(opt.isFloor, defaults.isFloor);
+    EXPECT_EQ(opt.ciTarget, 0.49);
+    EXPECT_EQ(opt.isEnable, defaults.isEnable);
+    for (const char *v : {"REPRO_RUNS", "REPRO_IS_CORPUS", "REPRO_MC_CORES",
+                          "REPRO_CI_CONF", "REPRO_IS_FLOOR",
+                          "REPRO_CI_TARGET", "REPRO_IS"})
+        unsetenv(v);
+}
+
 TEST(CacheTag, SanitizesAndNeverCollidesOnLongNames)
 {
     std::string tag = Toolflow::cacheTag("wa", "has/slash es", 5);

@@ -24,7 +24,6 @@
 #include "fleet/workunit.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
-#include "service/cellwire.hh"
 #include "service/client.hh"
 #include "service/daemon.hh"
 #include "service/protocol.hh"
@@ -242,29 +241,73 @@ TEST(ServiceCellWire, RoundTrip)
 {
     CampaignCell cell;
     cell.workload = "sobel";
-    cell.model = models::ModelKind::DA;
+    cell.model = models::ModelKind::WA;
     cell.vrFrac = 0.2000000000000001;
-    cell.result.runs = 6;
-    cell.result.masked = 3;
-    cell.result.sdc = 1;
-    cell.result.crash = 1;
-    cell.result.timeout = 1;
-    cell.result.injectedErrors = 42;
-    cell.result.committedInstructions = 123456;
+    inject::CampaignResult &c = cell.result;
+    c.runs = 60;
+    c.masked = 30;
+    c.sdc = 11;
+    c.crash = 9;
+    c.timeout = 5;
+    c.engineFault = 5;
+    c.retries = 2;
+    c.injectedErrors = 42;
+    c.committedInstructions = 123456;
+    c.wrongPathInjections = 3;
+    c.weightedModel = true;
+    c.weightSum = 0.1234567890123456789;
+    c.weightUnsafe = 1e-300;
+    c.weightSqSum = 12345.678901234567;
+    c.weightUnsafeSqSum = 2.0 / 3.0;
+    c.mcCoherenceMasked = 6;
+    c.mcSdcSameCore = 7;
+    c.mcSdcCrossCore = 4;
+    c.mcSyncCrash = 1;
+    c.mcDeadlock = 8;
     CampaignCell back;
     ASSERT_TRUE(cellFromKv(parseKv(cellToKv(cell)), back));
     EXPECT_EQ(back.workload, cell.workload);
     EXPECT_EQ(back.model, cell.model);
     EXPECT_EQ(back.vrFrac, cell.vrFrac) << "vr must round-trip %.17g";
-    EXPECT_EQ(back.result.runs, cell.result.runs);
-    EXPECT_EQ(back.result.masked, cell.result.masked);
-    EXPECT_EQ(back.result.sdc, cell.result.sdc);
-    EXPECT_EQ(back.result.injectedErrors, cell.result.injectedErrors);
-    EXPECT_EQ(back.result.committedInstructions,
-              cell.result.committedInstructions);
-    // Missing counter keys must not silently decode.
+    const inject::CampaignResult &g = back.result;
+    EXPECT_EQ(g.runs, c.runs);
+    EXPECT_EQ(g.masked, c.masked);
+    EXPECT_EQ(g.sdc, c.sdc);
+    EXPECT_EQ(g.crash, c.crash);
+    EXPECT_EQ(g.timeout, c.timeout);
+    EXPECT_EQ(g.engineFault, c.engineFault);
+    EXPECT_EQ(g.retries, c.retries);
+    EXPECT_EQ(g.injectedErrors, c.injectedErrors);
+    EXPECT_EQ(g.committedInstructions, c.committedInstructions);
+    EXPECT_EQ(g.wrongPathInjections, c.wrongPathInjections);
+    EXPECT_EQ(g.weightedModel, c.weightedModel);
+    EXPECT_EQ(g.weightSum, c.weightSum);
+    EXPECT_EQ(g.weightUnsafe, c.weightUnsafe);
+    EXPECT_EQ(g.weightSqSum, c.weightSqSum);
+    EXPECT_EQ(g.weightUnsafeSqSum, c.weightUnsafeSqSum);
+    EXPECT_EQ(g.mcCoherenceMasked, c.mcCoherenceMasked);
+    EXPECT_EQ(g.mcSdcSameCore, c.mcSdcSameCore);
+    EXPECT_EQ(g.mcSdcCrossCore, c.mcSdcCrossCore);
+    EXPECT_EQ(g.mcSyncCrash, c.mcSyncCrash);
+    EXPECT_EQ(g.mcDeadlock, c.mcDeadlock);
+    EXPECT_EQ(g.workload, "sobel");
+    EXPECT_EQ(g.model, models::modelKindName(models::ModelKind::WA));
+
+    // The weighted and multi-core keys are optional: a stream from an
+    // older daemon decodes with their zero defaults.
+    std::string plain = "workload sobel\nmodel 0\nvr 0.2\n";
+    for (const char *k : {"runs", "masked", "sdc", "crash", "timeout",
+                          "enginefault", "retries", "injected",
+                          "committed", "wrongpath"})
+        plain += std::string(k) + " 1\n";
+    CampaignCell old;
+    ASSERT_TRUE(cellFromKv(parseKv(plain), old));
+    EXPECT_FALSE(old.result.weightedModel);
+    EXPECT_EQ(old.result.mcDeadlock, 0u);
+    // Missing or malformed counter keys must not silently decode.
     CampaignCell bad;
     EXPECT_FALSE(cellFromKv(parseKv("workload sobel\nmodel 2\n"), bad));
+    EXPECT_FALSE(cellFromKv(parseKv(plain + "mcdead 3x\n"), bad));
 }
 
 // ---------------------------------------------------------------------
@@ -348,6 +391,45 @@ TEST(ServiceScheduler, OversizedThreadCountIsBadRequest)
         EXPECT_EQ(r.rej.code, service::ErrorCode::BadRequest) << junk;
     }
     EXPECT_TRUE(sched.submit(withThreads("4"), "alice").accepted);
+    sched.stop();
+    fs::remove_all(dir);
+}
+
+TEST(ServiceScheduler, OutOfRangePlanIsBadRequest)
+{
+    // A plan field the option table would reject — or a workload no
+    // one can build — is BAD_REQUEST at SUBMIT. Unchecked, `scale 0`
+    // and `workloads nosuch` reach fatal() in the workload factory, and
+    // `scale 32` overflows an mg load offset, each ending the daemon
+    // with every other campaign.
+    std::string dir = "/tmp/tea_svc_test_hostile";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    Scheduler sched(schedulerOptions(dir));
+    sched.setPaused(true);
+    const std::string body = *fleet::unsealBody(tinyPlan(dir).serialize());
+    auto withField = [&](const std::string &key, const std::string &v) {
+        const size_t at = body.find("\n" + key + " ") + 1;
+        const size_t eol = body.find('\n', at);
+        std::string b = body;
+        b.replace(at, eol - at, key + " " + v);
+        return fleet::sealBody(b);
+    };
+    const std::pair<const char *, const char *> hostile[] = {
+        {"scale", "0"},       {"workloads", "nosuch"},
+        {"runs", "1000001"},  {"mccores", "9"},
+        {"ciconf", "1"},      {"iscorpus", "99"},
+        {"runs", "12abc"},    {"isenable", "2"},
+        {"vrlevels", "0.9"},  {"leasems", "-1"},
+        {"scale", "32"},
+    };
+    for (const auto &[key, value] : hostile) {
+        auto r = sched.submit(withField(key, value), "alice");
+        EXPECT_FALSE(r.accepted) << key << " " << value;
+        EXPECT_EQ(r.rej.code, service::ErrorCode::BadRequest)
+            << key << " " << value;
+    }
+    EXPECT_TRUE(sched.submit(withField("runs", "7"), "alice").accepted);
     sched.stop();
     fs::remove_all(dir);
 }
@@ -478,7 +560,7 @@ TEST(ServiceDaemon, ByteIdenticalToInProcessUnderChaos)
     Toolflow tf(refOpt);
     EvaluationGrid ref = runEvaluationGrid(tf, spec);
     ASSERT_EQ(ref.cells.size(), 3u);
-    std::string csvPath = gridCachePath(refOpt);
+    std::string csvPath = gridCachePath(refOpt, spec);
     std::string refCsv = readFileToString(csvPath).value_or("");
     ASSERT_FALSE(refCsv.empty());
     fs::remove(csvPath);
@@ -580,7 +662,7 @@ TEST(ServiceDaemon, ImportanceSampledCampaignMatchesInProcess)
     Toolflow tf(refOpt);
     EvaluationGrid ref = runEvaluationGrid(tf, spec);
     ASSERT_EQ(ref.cells.size(), 3u);
-    std::string csvPath = gridCachePath(refOpt);
+    std::string csvPath = gridCachePath(refOpt, spec);
     std::string refCsv = readFileToString(csvPath).value_or("");
     ASSERT_FALSE(refCsv.empty());
     fs::remove(csvPath);

@@ -93,6 +93,19 @@ INSTANTIATE_TEST_SUITE_P(All, WorkloadTest,
                              return n;
                          });
 
+TEST(Workloads, EveryWorkloadBuildsAtTheLargestScale)
+{
+    // kMaxScale is the plan's `scale` bound: a builder whose immediates
+    // overflow below it would panic inside the daemon at SUBMIT time.
+    std::vector<std::string> names = workloadNames();
+    names.insert(names.end(), {"k-means-mt", "hotspot-mt"});
+    for (const auto &name : names) {
+        ASSERT_TRUE(isKnownWorkload(name)) << name;
+        Workload w = buildWorkload(name, 1, kMaxScale);
+        EXPECT_FALSE(w.program.code.empty()) << name;
+    }
+}
+
 TEST(Workloads, VerificationBenchmarksPass)
 {
     // cg, is and mg self-verify; the golden run must report PASS.
