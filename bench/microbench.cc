@@ -30,6 +30,17 @@
  * wall time, and the adaptive intervals, and asserting >= 2x savings
  * with intervals that contain the fixed-N point estimates.
  *
+ * `microbench --fastpath-sweep` runs every single-core workload's
+ * DA, IA and WA cells at both default VR levels (REPRO_RUNS runs per
+ * cell, default 20, models at the benchmark's grid sizes from the
+ * REPRO_CACHE directory) through the exact fast path and through the
+ * OoO core, alternating in rounds, and prints per workload the share
+ * of simulated runs the fast path recorded, its fallback reasons, the
+ * time per run on each path, and the time lost on abandoned fast-path
+ * prefixes. `BM_InjectRun/<workload>/{fast,ooo}` times the same runs
+ * under google-benchmark; add `--benchmark_repetitions=N
+ * --benchmark_enable_random_interleaving=true` to alternate them.
+ *
  * `--json <path>` (with any of the sweeps) additionally writes the
  * machine-readable BENCH_*.json results: per-engine throughput and
  * speedup, and the adaptive sweep's trial savings.
@@ -53,6 +64,7 @@
 #include "circuit/dta.hh"
 #include "core/toolflow.hh"
 #include "obs/json.hh"
+#include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "fpu/fpu_core.hh"
 #include "inject/campaign.hh"
@@ -295,6 +307,95 @@ BM_McSimKmeansMt(benchmark::State &state)
 BENCHMARK(BM_McSimKmeansMt)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_CAPTURE(BM_McSim, hotspotMt, "hotspot-mt")
+    ->Unit(benchmark::kMillisecond);
+
+namespace {
+
+/**
+ * Models at the benchmark's grid sizes (perfbench/driver.cc), read
+ * from (or characterized into) the REPRO_CACHE directory.
+ */
+core::Toolflow &
+injectToolflow()
+{
+    static core::Toolflow tf([] {
+        core::ToolflowOptions opt = core::optionsFromEnv();
+        opt.iaCountPerOp = 500;
+        opt.waMaxOps = 2500;
+        opt.daSampleOps = 2500;
+        return opt;
+    }());
+    return tf;
+}
+
+/** A workload's DA, IA and WA models at both default VR levels. */
+std::vector<std::unique_ptr<models::ErrorModel>>
+injectModels(const std::string &workload)
+{
+    core::Toolflow &tf = injectToolflow();
+    std::vector<std::unique_ptr<models::ErrorModel>> out;
+    for (double vr : tf.options().vrLevels) {
+        out.push_back(
+            std::make_unique<models::DaModel>(tf.daModel(vr)));
+        out.push_back(
+            std::make_unique<models::IaModel>(tf.iaModel(vr)));
+        out.push_back(
+            std::make_unique<models::WaModel>(tf.waModel(workload, vr)));
+    }
+    return out;
+}
+
+} // namespace
+
+/**
+ * One injection run per iteration, cycling through 20 runs of each of
+ * the workload's six cells: on the exact fast path (`fast`) or always
+ * on the OoO core (`ooo`).
+ */
+static void
+BM_InjectRun(benchmark::State &state, const char *workload, bool fast)
+{
+    const inject::InjectionCampaign &camp =
+        injectToolflow().campaign(workload);
+    auto models = injectModels(workload);
+    Rng base = Rng(injectToolflow().options().seed).split();
+    constexpr uint64_t kRuns = 20;
+    uint64_t i = 0;
+    for (auto _ : state) {
+        const models::ErrorModel &m = *models[i % models.size()];
+        Rng rng = base.fork(i / models.size() % kRuns);
+        auto rec = fast ? camp.executeOne(m, rng) : camp.simulateOne(m, rng);
+        benchmark::DoNotOptimize(rec);
+        ++i;
+    }
+}
+BENCHMARK_CAPTURE(BM_InjectRun, sobel/fast, "sobel", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, sobel/ooo, "sobel", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, cg/fast, "cg", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, cg/ooo, "cg", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, kmeans/fast, "k-means", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, kmeans/ooo, "k-means", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, srad/fast, "srad_v1", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, srad/ooo, "srad_v1", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, hotspot/fast, "hotspot", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, hotspot/ooo, "hotspot", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, is/fast, "is", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, is/ooo, "is", false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, mg/fast, "mg", true)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_InjectRun, mg/ooo, "mg", false)
     ->Unit(benchmark::kMillisecond);
 
 namespace {
@@ -957,6 +1058,149 @@ runFaultStress()
     return 0;
 }
 
+/**
+ * Fast-path coverage and speed per workload (see the file comment).
+ * Each of 3 rounds times every run on the fast path, then on the OoO
+ * core, on a fresh campaign; a run's time is its best round. A
+ * fallback's lost time is its fast-path time over its OoO time.
+ */
+int
+runFastPathSweep()
+{
+    uint64_t runs = 0;
+    if (!envU64("REPRO_RUNS", runs) || runs == 0)
+        runs = 20;
+    constexpr int kRounds = 3;
+    obs::Registry &reg = obs::Registry::global();
+    obs::Counter fastRuns = reg.counter(obs::metric::kInjectFastPathRuns);
+    obs::Counter shortcuts = reg.counter(obs::metric::kInjectShortcuts);
+    const char *reasons[] = {"wrong_path_event", "control", "trap",
+                             "footprint"};
+    std::printf("exact fast path vs OoO core: %llu runs per cell, DA/IA/"
+                "WA x 2 VR levels, best of %d alternating rounds\n\n",
+                static_cast<unsigned long long>(runs), kRounds);
+    setQuiet(true);
+    Table table({"workload", "simulated", "fast path", "not tried",
+                 "wrong-path", "control", "trap", "footprint", "OoO ms/run",
+                 "fast ms/run", "speedup", "lost ms/run",
+                 "timeline ms"});
+    obs::json::Array rows;
+    int rc = 0;
+    const core::ToolflowOptions &opt = injectToolflow().options();
+    for (const auto &name : workloads::workloadNames()) {
+        auto models = injectModels(name);
+        Rng base = Rng(opt.seed).split();
+        size_t n = models.size() * runs;
+        std::vector<double> fastMs(n, 1e300), oooMs(n, 1e300);
+        double timelineMs = 1e300;
+        // -3 not tried (the cost gate), -2 empty plan, -1 fast path,
+        // else the fallback reason.
+        std::vector<int> fate(n, -3);
+        for (int round = 0; round < kRounds; ++round) {
+            // A fresh campaign per round, so every round records the
+            // timeline and settles the cost gate the same way.
+            inject::InjectionCampaign camp(
+                workloads::buildWorkload(name, opt.workloadScale));
+            // The first fast-path run records the timeline: time it
+            // apart.
+            auto t0 = std::chrono::steady_clock::now();
+            {
+                Rng rng = base.fork(0);
+                camp.executeOne(*models[0], rng);
+            }
+            timelineMs = std::min(timelineMs, secondsSince(t0) * 1e3);
+            for (int fast = 1; fast >= 0; --fast) {
+                for (size_t j = 0; j < n; ++j) {
+                    const models::ErrorModel &m = *models[j % models.size()];
+                    Rng rng = base.fork(j / models.size());
+                    uint64_t before[4], fastBefore = fastRuns.value();
+                    uint64_t shortBefore = shortcuts.value();
+                    for (int r = 0; r < 4; ++r)
+                        before[r] = reg.counter(
+                                           obs::metric::
+                                               kInjectFastPathFallbacks,
+                                           std::string("reason=\"") +
+                                               reasons[r] + "\"")
+                                        .value();
+                    auto s0 = std::chrono::steady_clock::now();
+                    auto rec = fast ? camp.executeOne(m, rng)
+                                    : camp.simulateOne(m, rng);
+                    double ms = secondsSince(s0) * 1e3;
+                    std::vector<double> &t = fast ? fastMs : oooMs;
+                    t[j] = std::min(t[j], ms);
+                    if (!fast || round > 0)
+                        continue;
+                    if (shortcuts.value() != shortBefore)
+                        fate[j] = -2;
+                    else if (fastRuns.value() != fastBefore)
+                        fate[j] = -1;
+                    else
+                        for (int r = 0; r < 4; ++r)
+                            if (reg.counter(
+                                       obs::metric::kInjectFastPathFallbacks,
+                                       std::string("reason=\"") +
+                                           reasons[r] + "\"")
+                                    .value() != before[r])
+                                fate[j] = r;
+                    benchmark::DoNotOptimize(rec);
+                }
+            }
+        }
+        uint64_t simulated = 0, fastCount = 0, gated = 0;
+        uint64_t why[4] = {0, 0, 0, 0};
+        double fastSum = 0, oooSum = 0, lost = 0;
+        for (size_t j = 0; j < n; ++j) {
+            fastSum += fastMs[j];
+            oooSum += oooMs[j];
+            if (fate[j] == -2)
+                continue;
+            ++simulated;
+            if (fate[j] == -1) {
+                ++fastCount;
+            } else if (fate[j] == -3) {
+                ++gated;
+            } else {
+                ++why[fate[j]];
+                lost += fastMs[j] - oooMs[j];
+            }
+        }
+        double per = static_cast<double>(n);
+        table.addRow({name, std::to_string(simulated),
+                      Table::pct(simulated ? static_cast<double>(fastCount) /
+                                                 static_cast<double>(simulated)
+                                           : 0.0),
+                      std::to_string(gated),
+                      std::to_string(why[0]), std::to_string(why[1]),
+                      std::to_string(why[2]), std::to_string(why[3]),
+                      Table::num(oooSum / per, 3), Table::num(fastSum / per, 3),
+                      Table::num(fastSum > 0 ? oooSum / fastSum : 0, 2),
+                      Table::num(lost / per, 3), Table::num(timelineMs, 1)});
+        rows.push_back(obs::json::Object{
+            {"workload", name},
+            {"simulated", static_cast<int64_t>(simulated)},
+            {"fast_path", static_cast<int64_t>(fastCount)},
+            {"not_tried", static_cast<int64_t>(gated)},
+            {"wrong_path_event", static_cast<int64_t>(why[0])},
+            {"control", static_cast<int64_t>(why[1])},
+            {"trap", static_cast<int64_t>(why[2])},
+            {"footprint", static_cast<int64_t>(why[3])},
+            {"ooo_ms_per_run", oooSum / per},
+            {"fast_ms_per_run", fastSum / per},
+            {"lost_ms_per_run", lost / per},
+            {"timeline_ms", timelineMs},
+        });
+    }
+    setQuiet(false);
+    std::printf("%s\n", table.render("exact fast path coverage").c_str());
+    std::printf("simulated = runs with an event; not "
+                "tried = runs the cost gate sent straight to the OoO "
+                "core; lost = time fallback runs spent on the fast path "
+                "before the OoO core, per run of the workload; timeline "
+                "= the one extra golden run that records it\n");
+    addJsonSection("fastpath", std::move(rows));
+    return rc;
+}
+
 } // namespace
 
 int
@@ -981,6 +1225,8 @@ main(int argc, char **argv)
             r = runAdaptiveSweep();
         else if (std::strcmp(argv[i], "--fault-stress") == 0)
             r = runFaultStress();
+        else if (std::strcmp(argv[i], "--fastpath-sweep") == 0)
+            r = runFastPathSweep();
         if (r >= 0) {
             ranSweep = true;
             rc = std::max(rc, r);

@@ -8,7 +8,9 @@
 #      are tested against, and
 #   3. a ThreadSanitizer build over the concurrency-heavy labels
 #      (parallel campaigns, batched DTA at 2 threads, fleet, daemon,
-#      multi-core), proving them free of data races.
+#      multi-core) and the exact fast path's equivalence test (pool
+#      threads share each campaign's lazily recorded golden timeline),
+#      proving them free of data races.
 #
 # Passes 1 and 2 run the full suite; any pass failing fails CI. Named
 # gates then rerun single labels so a regression shows as its own line:
@@ -63,6 +65,11 @@ if ! TSAN_OPTIONS="halt_on_error=1" run_pass "tsan" "$root/build-tsan" \
         'tier1par|tier1dta|tier1fleet|tier1service|tier1mc' \
         -DTEA_SANITIZE=thread; then
     echo "ci: ThreadSanitizer pass FAILED"
+    fail=1
+elif ! TSAN_OPTIONS="halt_on_error=1" \
+        "$root/build-tsan/tests/test_inject" \
+        --gtest_filter='InjectFastPath.*'; then
+    echo "ci: ThreadSanitizer fast-path pass FAILED"
     fail=1
 fi
 

@@ -155,8 +155,12 @@ saveGrid(const std::string &path, const EvaluationGrid &grid)
     std::ostringstream out;
     out << gridCsvHeader() << "\n";
     for (const auto &c : grid.cells) {
+        // Every bit of the VR level, as plans and CELL frames carry it:
+        // a reloaded grid reports the vrFrac a fresh one does.
+        char vr[32];
+        std::snprintf(vr, sizeof(vr), "%.17g", c.vrFrac);
         out << c.workload << "," << static_cast<int>(c.model) << ","
-            << c.vrFrac;
+            << vr;
         for (const auto &[key, member] : kResultFields)
             out << "," << formatField(member, c.result);
         out << "\n";
@@ -310,16 +314,17 @@ gridCachePath(const ToolflowOptions &opt, const GridSpec &spec)
           << opt.daSampleOps;
     const std::string key = shape.str();
     char buf[160];
-    // "_p6" = grid-file revision: p2 added the enginefault/retries
+    // "_p7" = grid-file revision: p2 added the enginefault/retries
     // columns; p3 invalidated grids derived from float-precision
     // arrival times; p4 added the weighted-estimator columns
     // (weighted, wsum, wunsafe, wsqsum); p5 added the multi-core
     // refinement columns and the mc geometry in the name (a grid may
     // contain threaded cells, whose results depend on it); p6 added
     // the grid-shape CRC (`_g`), so grids of different workload lists,
-    // VR levels or model sizes no longer share a file.
+    // VR levels or model sizes no longer share a file; p7 writes the
+    // `vr` column with all 17 significant digits (was 6).
     std::snprintf(buf, sizeof(buf),
-                  "grid_r%d_s%llu_x%d%s%s_c%uq%u_g%08x_p6.csv",
+                  "grid_r%d_s%llu_x%d%s%s_c%uq%u_g%08x_p7.csv",
                   cellRunCap(opt),
                   static_cast<unsigned long long>(opt.seed),
                   opt.workloadScale, adaptiveSuffix(opt).c_str(),

@@ -1,5 +1,6 @@
 #include "inject/campaign.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -380,6 +381,20 @@ InjectionCampaign::RunRecord
 InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
                               const Watchdog *watchdog) const
 {
+    return execute(model, rng, watchdog, true);
+}
+
+InjectionCampaign::RunRecord
+InjectionCampaign::simulateOne(const ErrorModel &model, Rng &rng,
+                               const Watchdog *watchdog) const
+{
+    return execute(model, rng, watchdog, false);
+}
+
+InjectionCampaign::RunRecord
+InjectionCampaign::execute(const ErrorModel &model, Rng &rng,
+                           const Watchdog *watchdog, bool fastPath) const
+{
     // Plan per core, in core-major order on the one run substream, so
     // the whole multi-core plan is a deterministic function of the run
     // index. Each event is stamped with its core: "the n-th eligible
@@ -403,7 +418,37 @@ InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
         return goldenRecord(logWeight);
     if (workload_.threaded)
         return simulateMc(std::move(plans), logWeight, watchdog);
-    OooSim sim(workload_.program, cfg_, std::move(plans[0]));
+    if (fastPath && worthTrying(model.kind())) {
+        auto k = static_cast<size_t>(model.kind());
+        ++fastTries_[k];
+        if (auto rec = replayOnFuncSim(plans[0], logWeight, watchdog)) {
+            ++fastWins_[k];
+            return *rec;
+        }
+    }
+    return simulateOoo(std::move(plans[0]), logWeight, watchdog);
+}
+
+bool
+InjectionCampaign::worthTrying(models::ModelKind kind) const
+{
+    // A fallback costs the interpreter's time up to the divergence on
+    // top of the OoO run, and some cells (is; DA, whose events corrupt
+    // addresses and loop counters) almost always fall back. After 8
+    // attempts, stop trying a kind the fast path records less than
+    // once in eight. Both paths give the same record, so this moves
+    // only time, whatever order the pool's threads see the counts in.
+    auto k = static_cast<size_t>(kind);
+    uint64_t tries = fastTries_[k];
+    uint64_t wins = fastWins_[k];
+    return tries < 8 || wins * 8 >= tries;
+}
+
+InjectionCampaign::RunRecord
+InjectionCampaign::simulateOoo(sim::InjectionPlan plan, double logWeight,
+                               const Watchdog *watchdog) const
+{
+    OooSim sim(workload_.program, cfg_, std::move(plan));
     auto res = sim.run(2 * goldenCycles_, watchdog);
     RunRecord rec;
     rec.logWeight = logWeight;
@@ -434,6 +479,138 @@ InjectionCampaign::executeOne(const ErrorModel &model, Rng &rng,
       }
     }
     return rec;
+}
+
+const sim::GoldenTimeline *
+InjectionCampaign::timeline() const
+{
+    // Recorded on first use rather than in prepare(), so bringing a
+    // campaign up costs no more than its golden runs, and a campaign
+    // whose runs all plan nothing never records it. A timeline takes
+    // about 16 bytes per golden instruction, so a golden run past 16 M
+    // instructions (a scaled-up workload) keeps every run on the OoO
+    // core rather than hold hundreds of MB per campaign.
+    constexpr uint64_t kMaxTimelineInstructions = 1ULL << 24;
+    if (goldenCommitted_ > kMaxTimelineInstructions)
+        return nullptr;
+    std::call_once(timelineOnce_, [this] {
+        auto tl = std::make_unique<sim::GoldenTimeline>();
+        OooSim sim(workload_.program, cfg_);
+        sim.recordTimeline(tl.get());
+        auto res = sim.run(2 * goldenCycles_);
+        if (res.status == OooSim::Status::Halted &&
+            res.cycles == goldenCycles_ &&
+            tl->committed == goldenCommitted_) {
+            timeline_ = std::move(tl);
+        } else {
+            warn("workload '%s': the recorded golden run differs from "
+                 "the first; every run is simulated",
+                 workload_.name.c_str());
+        }
+    });
+    return timeline_.get();
+}
+
+std::optional<InjectionCampaign::RunRecord>
+InjectionCampaign::replayOnFuncSim(const sim::InjectionPlan &plan,
+                                   double logWeight,
+                                   const Watchdog *watchdog) const
+{
+    const sim::GoldenTimeline *tl = timeline();
+    if (!tl)
+        return std::nullopt;
+    obs::Registry &reg = obs::Registry::global();
+    auto fallback = [&](const char *reason) {
+        reg.counter(obs::metric::kInjectFastPathFallbacks,
+                    std::string("reason=\"") + reason + "\"",
+                    "fast-path attempts abandoned for the OoO core")
+            .inc(1);
+        return std::nullopt;
+    };
+
+    // Resolve each event to the instance it hits. An index past the
+    // golden run's last completion never fires. One that hits a
+    // wrong-path instance is applied and squashed with it; unless the
+    // instance is inert, it could change what the wrong path does.
+    using sim::GoldenTimeline;
+    sim::FuncSim::ShadowPlan shadow;
+    shadow.timeline = tl;
+    uint64_t injected = 0;
+    std::vector<uint64_t> squashed; // serials of wrong-path victims
+    auto resolve = [&](const auto &events,
+                       const std::vector<uint64_t> &map) {
+        for (const auto &[index, mask] : events) {
+            if (index >= map.size())
+                continue;
+            uint64_t at = map[index];
+            if (at & GoldenTimeline::kWrongPath) {
+                if (!(at & GoldenTimeline::kInert))
+                    return false;
+                squashed.push_back(at & GoldenTimeline::kSerialMask);
+            } else {
+                shadow.injections.push_back({at, mask});
+            }
+            ++injected;
+        }
+        return true;
+    };
+    bool safe = resolve(plan.anyDest(), tl->anyDest);
+    for (size_t op = 0; safe && op < fpu::kNumFpuOps; ++op)
+        safe = resolve(plan.fpOp(static_cast<fpu::FpuOp>(op)),
+                       tl->fpOp[op]);
+    if (!safe)
+        return fallback("wrong_path_event");
+    std::sort(squashed.begin(), squashed.end());
+    uint64_t wrongPath = static_cast<uint64_t>(
+        std::unique(squashed.begin(), squashed.end()) - squashed.begin());
+    // One mask per instance: the XOR of every event that hits it.
+    auto &inj = shadow.injections;
+    std::sort(inj.begin(), inj.end());
+    size_t out = 0;
+    for (size_t i = 0; i < inj.size(); ++i) {
+        if (out > 0 && inj[out - 1].first == inj[i].first)
+            inj[out - 1].second ^= inj[i].second;
+        else
+            inj[out++] = inj[i];
+    }
+    inj.resize(out);
+
+    sim::FuncSim::Config fcfg;
+    fcfg.trapOnSevereFp = cfg_.trapOnSevereFp;
+    sim::FuncSim fsim(workload_.program, fcfg);
+    Watchdog::Stop stop = Watchdog::Stop::None;
+    RunRecord rec;
+    rec.logWeight = logWeight;
+    switch (fsim.runShadow(shadow, watchdog, stop)) {
+      case sim::FuncSim::ShadowEnd::Halted:
+        // The OoO core would have replayed the golden run's cycles,
+        // so it halts with the golden commit count, every event
+        // applied, and the wrong-path victims squashed.
+        rec.committed = goldenCommitted_;
+        rec.injected = injected;
+        rec.wrongPath = wrongPath;
+        rec.outcome = outputSignature(fsim.memory(), fsim.console()) ==
+                              goldenSignature_
+                          ? Outcome::Masked
+                          : Outcome::SDC;
+        reg.counter(obs::metric::kInjectFastPathRuns, "",
+                    "single-core runs recorded by the exact fast path")
+            .inc(1);
+        return rec;
+      case sim::FuncSim::ShadowEnd::Interrupted:
+        rec.outcome = Outcome::EngineFault;
+        rec.fault = stop == Watchdog::Stop::Deadline
+                        ? ErrorCode::RunDeadline
+                        : ErrorCode::Cancelled;
+        return rec;
+      case sim::FuncSim::ShadowEnd::Control:
+        return fallback("control");
+      case sim::FuncSim::ShadowEnd::Trap:
+        return fallback("trap");
+      case sim::FuncSim::ShadowEnd::Footprint:
+        return fallback("footprint");
+    }
+    return std::nullopt;
 }
 
 InjectionCampaign::RunRecord
@@ -491,18 +668,16 @@ InjectionCampaign::runOne(const ErrorModel &model, Rng &rng,
     return rec.outcome;
 }
 
-uint64_t
-InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
-                            uint64_t hi, Rng &rng,
-                            const RunOptions &opts) const
+void
+InjectionCampaign::forEachRun(
+    const ErrorModel &model, const Rng &base, uint64_t lo, uint64_t hi,
+    const RunOptions &opts,
+    const std::function<void(uint64_t, const RunRecord &, bool)> &sink)
+    const
 {
     ThreadPool &tp = opts.pool ? *opts.pool : ThreadPool::global();
-    // The same split run() performs, so a range worker's base stream
-    // matches the unsplit cell's and fork(i) lands on identical draws.
-    Rng base = rng.split();
-    if (hi <= lo)
-        return 0;
-    std::atomic<uint64_t> executed{0};
+    // Observation only: counters/histograms never feed back into run
+    // scheduling, RNG streams, or the ordered aggregation.
     obs::Registry &reg = obs::Registry::global();
     obs::Counter mReplays = reg.counter(
         obs::metric::kInjectReplays, "",
@@ -516,16 +691,17 @@ InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
     obs::Histogram mRunMs = reg.histogram(
         obs::metric::kInjectRunMs, obs::latencyBucketsMs(), "",
         "wall time of one contained injection run");
-    obs::Span span("inject.range", "inject",
-                   static_cast<int64_t>(hi - lo));
     tp.parallelFor(lo, hi, [&](uint64_t i, unsigned) {
         if (opts.cancel && opts.cancel->cancelled())
             return;
         RunRecord rec;
         if (opts.replay && opts.replay(i, rec)) {
             mReplays.inc(1);
+            sink(i, rec, true);
             return;
         }
+        obs::Span runSpan("inject.run", "inject",
+                          static_cast<int64_t>(i));
         auto t0 = std::chrono::steady_clock::now();
         rec = executeOneContained(model, base, i, opts);
         mRunMs.observe(std::chrono::duration<double, std::milli>(
@@ -537,10 +713,31 @@ InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
         }
         if (rec.fault == ErrorCode::RunDeadline)
             mDeadline.inc(1);
-        executed.fetch_add(1, std::memory_order_relaxed);
-        if (opts.onComplete)
-            opts.onComplete(i, rec);
+        sink(i, rec, false);
     });
+}
+
+uint64_t
+InjectionCampaign::runRange(const ErrorModel &model, uint64_t lo,
+                            uint64_t hi, Rng &rng,
+                            const RunOptions &opts) const
+{
+    // The same split run() performs, so a range worker's base stream
+    // matches the unsplit cell's and fork(i) lands on identical draws.
+    Rng base = rng.split();
+    if (hi <= lo)
+        return 0;
+    std::atomic<uint64_t> executed{0};
+    obs::Span span("inject.range", "inject",
+                   static_cast<int64_t>(hi - lo));
+    forEachRun(model, base, lo, hi, opts,
+               [&](uint64_t i, const RunRecord &rec, bool replayed) {
+                   if (replayed)
+                       return;
+                   executed.fetch_add(1, std::memory_order_relaxed);
+                   if (opts.onComplete)
+                       opts.onComplete(i, rec);
+               });
     return executed.load();
 }
 
@@ -548,52 +745,30 @@ CampaignResult
 InjectionCampaign::run(const ErrorModel &model, int runs, Rng &rng,
                        const RunOptions &opts) const
 {
-    ThreadPool &tp = opts.pool ? *opts.pool : ThreadPool::global();
     Rng base = rng.split();
     size_t n = runs > 0 ? static_cast<size_t>(runs) : 0;
     std::vector<RunRecord> records(n);
     std::vector<uint8_t> done(n, 0);
 
-    // Observation only: counters/histograms never feed back into run
-    // scheduling, RNG streams, or the ordered aggregation below.
     obs::Registry &reg = obs::Registry::global();
-    obs::Counter mReplays = reg.counter(
-        obs::metric::kInjectReplays, "",
-        "injection runs satisfied from a journal instead of simulated");
-    obs::Counter mCancelled = reg.counter(
-        obs::metric::kWatchdogCancelled, "",
-        "runs abandoned because a cancellation was requested");
-    obs::Histogram mRunMs = reg.histogram(
-        obs::metric::kInjectRunMs, obs::latencyBucketsMs(), "",
-        "wall time of one contained injection run");
-
+    obs::Counter mDeadline =
+        reg.counter(obs::metric::kWatchdogDeadline, "",
+                    "runs cut off by the per-run deadline");
     obs::Span campaignSpan("inject.campaign", "inject",
                            static_cast<int64_t>(n));
     auto executeRange = [&](uint64_t begin, uint64_t end) {
-        tp.parallelFor(begin, end, [&](uint64_t i, unsigned) {
-            if (opts.cancel && opts.cancel->cancelled())
-                return;
-            if (opts.replay && opts.replay(i, records[i])) {
-                done[i] = 1;
-                mReplays.inc(1);
-                return;
-            }
-            obs::Span runSpan("inject.run", "inject",
-                              static_cast<int64_t>(i));
-            auto t0 = std::chrono::steady_clock::now();
-            RunRecord rec = executeOneContained(model, base, i, opts);
-            mRunMs.observe(std::chrono::duration<double, std::milli>(
-                               std::chrono::steady_clock::now() - t0)
-                               .count());
-            if (rec.fault == ErrorCode::Cancelled) {
-                mCancelled.inc(1);
-                return; // shutdown mid-run: leave it for the resume
-            }
-            records[i] = rec;
-            done[i] = 1;
-            if (opts.onComplete)
-                opts.onComplete(i, records[i]);
-        });
+        forEachRun(model, base, begin, end, opts,
+                   [&](uint64_t i, const RunRecord &rec, bool replayed) {
+                       records[i] = rec;
+                       done[i] = 1;
+                       // A replayed cut-off counts as one too, as it
+                       // would have had it run here.
+                       if (replayed &&
+                           rec.fault == ErrorCode::RunDeadline)
+                           mDeadline.inc(1);
+                       if (!replayed && opts.onComplete)
+                           opts.onComplete(i, rec);
+                   });
     };
 
     // Runs considered by the aggregation: all of them on the fixed
@@ -681,10 +856,6 @@ InjectionCampaign::run(const ErrorModel &model, int runs, Rng &rng,
         const RunRecord &rec = records[i];
         ++out.runs;
         out.retries += rec.attempts - 1;
-        if (rec.fault == ErrorCode::RunDeadline)
-            reg.counter(obs::metric::kWatchdogDeadline, "",
-                        "runs cut off by the per-run deadline")
-                .inc(1);
         if (rec.outcome == Outcome::EngineFault) {
             // Infrastructure failure: excluded from AVM (weighted and
             // unweighted) and from the injection/commit accounting

@@ -7,7 +7,10 @@
  * run the detailed OoO simulation with them, and classify each run as
  * Masked / SDC / Crash / Timeout per the paper's definitions (timeout =
  * 2x the error-free execution time). A run whose plan is empty is the
- * golden run and takes its record without being simulated. Aggregates
+ * golden run and takes its record without being simulated; a
+ * single-core run whose injections provably keep the golden run's
+ * timing takes the exact fast path on the functional interpreter
+ * (DESIGN.md §18). Aggregates
  * outcome distributions (Fig. 9), injected-error ratios (Fig. 10), and
  * the Application Vulnerability Metric (Eq. 4).
  *
@@ -25,15 +28,20 @@
 #ifndef TEA_INJECT_CAMPAIGN_HH
 #define TEA_INJECT_CAMPAIGN_HH
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "mc/mc_sim.hh"
 #include "models/error_models.hh"
 #include "sim/ooo_sim.hh"
+#include "sim/timeline.hh"
 #include "stats/intervals.hh"
 #include "util/errors.hh"
 #include "util/expected.hh"
@@ -303,6 +311,15 @@ class InjectionCampaign
                          const Watchdog *watchdog = nullptr) const;
 
     /**
+     * executeOne without the exact fast path: every run with an event
+     * is simulated on the OoO core (McSim for threaded workloads). The
+     * oracle the fast path is tested and benchmarked against; records
+     * are identical to executeOne's.
+     */
+    RunRecord simulateOne(const models::ErrorModel &model, Rng &rng,
+                          const Watchdog *watchdog = nullptr) const;
+
+    /**
      * executeOne with run-level containment: attempt `run`'s execution
      * up to opts.maxAttempts times (attempt 0 on the canonical
      * base.fork(run) substream, retries on deterministic re-forks),
@@ -353,6 +370,46 @@ class InjectionCampaign
     /** Golden functional + detailed runs; the recoverable ctor body. */
     Error prepare();
 
+    /** executeOne and simulateOne; `fastPath` picks which. */
+    RunRecord execute(const models::ErrorModel &model, Rng &rng,
+                      const Watchdog *watchdog, bool fastPath) const;
+
+    /**
+     * The one per-run loop of run() and runRange(): runs [lo, hi) on
+     * the pool, each replayed through opts.replay or executed
+     * contained, handed to `sink(i, record, replayed)`. Runs a
+     * cancellation cut off are dropped. Counts replays, cancellations
+     * and the deadline cut-offs of executed runs.
+     */
+    void forEachRun(
+        const models::ErrorModel &model, const Rng &base, uint64_t lo,
+        uint64_t hi, const RunOptions &opts,
+        const std::function<void(uint64_t, const RunRecord &, bool)>
+            &sink) const;
+
+    /**
+     * The golden OoO run's timeline (sim/timeline.hh), recorded by a
+     * second golden run the first time a run needs it; null when that
+     * run disagrees with prepare()'s.
+     */
+    const sim::GoldenTimeline *timeline() const;
+
+    /**
+     * The exact fast path (DESIGN.md §18): the record of a single-core
+     * run from the functional interpreter, or nullopt when the run may
+     * leave the golden timing and must be simulated.
+     */
+    std::optional<RunRecord>
+    replayOnFuncSim(const sim::InjectionPlan &plan, double logWeight,
+                    const Watchdog *watchdog) const;
+
+    /** Whether runs of this kind still pay for a fast-path attempt. */
+    bool worthTrying(models::ModelKind kind) const;
+
+    /** executeOne's OoO run of a single-core plan. */
+    RunRecord simulateOoo(sim::InjectionPlan plan, double logWeight,
+                          const Watchdog *watchdog) const;
+
     /** executeOne's McSim run of planned per-core events. */
     RunRecord simulateMc(std::vector<sim::InjectionPlan> plans,
                          double logWeight,
@@ -375,6 +432,15 @@ class InjectionCampaign
     /** Instructions the golden run committed (all cores). */
     uint64_t goldenCommitted_ = 0;
     std::vector<uint8_t> goldenSignature_;
+    mutable std::once_flag timelineOnce_;
+    mutable std::unique_ptr<sim::GoldenTimeline> timeline_;
+    /**
+     * Fast-path attempts and records per model kind: the cost gate of
+     * worthTrying(). They decide only which exact path computes a
+     * record, never the record.
+     */
+    mutable std::array<std::atomic<uint64_t>, 3> fastTries_{};
+    mutable std::array<std::atomic<uint64_t>, 3> fastWins_{};
 };
 
 } // namespace tea::inject

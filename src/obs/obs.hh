@@ -40,6 +40,10 @@ inline constexpr const char *kInjectReplays =
 inline constexpr const char *kInjectRunMs = "tea_inject_run_ms";
 inline constexpr const char *kInjectShortcuts =
     "tea_inject_runs_shortcut_total";
+inline constexpr const char *kInjectFastPathRuns =
+    "tea_inject_fastpath_runs_total";
+inline constexpr const char *kInjectFastPathFallbacks =
+    "tea_inject_fastpath_fallbacks_total";
 // ---- multi-core injection (McSim) ----------------------------------
 inline constexpr const char *kMcOutcomes = "tea_mc_outcomes_total";
 inline constexpr const char *kMcInvalidations =

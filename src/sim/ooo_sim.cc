@@ -121,6 +121,12 @@ OooSim::OooSim(isa::Program prog, OooConfig cfg, InjectionPlan plan)
 
 OooSim::~OooSim() = default;
 
+void
+OooSim::recordTimeline(GoldenTimeline *tl)
+{
+    impl_->pipe.recordTimeline(tl);
+}
+
 OooSim::Result
 OooSim::run(uint64_t maxCycles, const Watchdog *watchdog)
 {
@@ -156,6 +162,8 @@ OooSim::run(uint64_t maxCycles, const Watchdog *watchdog)
         }
     }
 
+    if (res.status == Status::Halted)
+        pipe.finishTimeline();
     res.cycles = pipe.cycles();
     res.committed = pipe.committed();
     res.executed = pipe.executed();

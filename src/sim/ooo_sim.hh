@@ -24,6 +24,7 @@
 #include "isa/program.hh"
 #include "sim/memory.hh"
 #include "sim/sim_types.hh"
+#include "sim/timeline.hh"
 #include "util/watchdog.hh"
 
 namespace tea::sim {
@@ -150,6 +151,12 @@ class OooSim
      * thousand cycles, so a hung run never freezes a worker thread).
      */
     Result run(uint64_t maxCycles, const Watchdog *watchdog = nullptr);
+
+    /**
+     * Record the run's timeline into `tl` (sim/timeline.hh); call
+     * before run(). The golden run of a campaign does this once.
+     */
+    void recordTimeline(GoldenTimeline *tl);
 
     const Memory &memory() const { return mem_; }
     const Console &console() const { return console_; }

@@ -193,7 +193,7 @@ CorePipeline::rename()
         e.isCtrl = d.isCtrl;
         e.trap = TrapKind::None;
 
-        // Sources.
+        // Sources (sourcesOf() states the same rule for the recorder).
         bool ecallFp =
             insn.op == Op::ECALL &&
             insn.imm == static_cast<int>(isa::Syscall::PrintFp);
@@ -416,6 +416,8 @@ void
 CorePipeline::squashAfter(size_t slot, uint64_t redirectIdx,
                           bool stopFetch)
 {
+    if (timeline_)
+        noteSquash(slot);
     // Kill everything younger than `slot`. A killed entry leaves every
     // event structure, and its seq can no longer match a waiter record.
     while (tail_ != robNext(slot)) {
@@ -472,6 +474,8 @@ CorePipeline::finishExec(size_t slot)
         wakeLoadsBlockedOn(slot);
     ++executed_;
     applyInjection(e);
+    if (timeline_)
+        noteCompletion(slot);
     if (e.isCtrl && !e.resolved) {
         e.resolved = true;
         if (info(e.insn.op).isBranch)
@@ -691,6 +695,229 @@ CorePipeline::commit(TrapKind &trapOut)
         ++committed_;
     }
     return CommitOutcome::Continue;
+}
+
+// ---- timeline recording (sim/timeline.hh) ------------------------------
+void
+CorePipeline::recordTimeline(GoldenTimeline *tl)
+{
+    timeline_ = tl;
+    slotAnyDest_.assign(rob_.size(), 0);
+    slotFpOp_.assign(rob_.size(), 0);
+    slotTimed_.assign(rob_.size(), 0);
+}
+
+CorePipeline::Sources
+CorePipeline::sourcesOf(const Instruction &insn) const
+{
+    const OpInfo &d = info(insn.op);
+    Sources s{{-1, -1}, {false, false}};
+    bool ecallFp = insn.op == Op::ECALL &&
+                   insn.imm == static_cast<int>(isa::Syscall::PrintFp);
+    if (d.readsFpRs1 || ecallFp || d.readsIntRs1) {
+        s.reg[0] = insn.rs1;
+        s.isFp[0] = d.readsFpRs1 || ecallFp;
+    }
+    if (d.readsFpRs2 || d.readsIntRs2) {
+        s.reg[1] = insn.rs2;
+        s.isFp[1] = d.readsFpRs2;
+    }
+    if (d.isStore) {
+        s.reg[1] = insn.rd;
+        s.isFp[1] = isa::storeDataIsFp(insn.op);
+    }
+    return s;
+}
+
+/**
+ * A completion takes the next index of its categories. The entry holds
+ * the instance's seq until a squash makes it a wrong-path entry or
+ * finishTimeline() turns the seq into its commit index.
+ */
+void
+CorePipeline::noteCompletion(size_t slot)
+{
+    const RobEntry &e = rob_[slot];
+    if (e.hasDest) {
+        slotAnyDest_[slot] = timeline_->anyDest.size();
+        timeline_->anyDest.push_back(e.seq);
+    }
+    if (info(e.insn.op).isFpArith) {
+        auto &map = timeline_->fpOp[static_cast<size_t>(
+            isa::fpuOpFor(e.insn.op))];
+        slotFpOp_[slot] = map.size();
+        map.push_back(e.seq);
+    }
+}
+
+/**
+ * Record what the instances younger than `slot` did before dying.
+ *
+ * Their map entries: whether an issued instance used the value of a
+ * completed one for timing — as a branch, JALR, load or store operand,
+ * or through its own such value — walking youngest first, so every
+ * consumer is settled before its producers. Marks on producers older
+ * than `slot` carry to their own squash.
+ *
+ * Their footprint: the registers and memory words whose values they
+ * used for timing, as above. A register counts unless an older killed
+ * instance wrote it; an instance still waiting to issue has read
+ * nothing. A nested squash's reads are relative to its own
+ * (wrong-path) anchor, so they over-approximate its outer wrong
+ * path's: never fewer reads.
+ */
+void
+CorePipeline::noteSquash(size_t slot)
+{
+    if (robNext(slot) != tail_)
+        killed_.push_back({rob_[robNext(slot)].seq, nextSeq_});
+    // Whether an instance's use of operand k can move timing: any
+    // control or load operand, a store's address, its data only when
+    // a timed load forwarded it (slotTimed_ marks such a store), and
+    // any operand of an instance whose own value is timed.
+    auto timedOperand = [&](size_t i, int k) {
+        const OpInfo &d = info(rob_[i].insn.op);
+        return d.isCtrl || d.isLoad || (d.isStore && k == 0) ||
+               slotTimed_[i];
+    };
+    auto loaded = [](const RobEntry &e) {
+        return e.isLoad && (e.stage == Stage::MemAccess ||
+                            (e.stage == Stage::Done &&
+                             e.trap == TrapKind::None));
+    };
+    std::vector<std::pair<uint64_t, unsigned>> timedLoads;
+    for (size_t i = robPrev(tail_); i != slot; i = robPrev(i)) {
+        const RobEntry &e = rob_[i];
+        if (loaded(e) && slotTimed_[i])
+            timedLoads.push_back({e.addr, e.size});
+        // A load forwards only from an exact match.
+        if (e.isStore && e.stage != Stage::InIQ &&
+            std::find(timedLoads.begin(), timedLoads.end(),
+                      std::make_pair(e.addr, e.size)) != timedLoads.end())
+            slotTimed_[i] = 1;
+        if (e.stage != Stage::InIQ)
+            for (int k = 0; k < 2; ++k)
+                if (e.src[k] >= 0 && timedOperand(i, k))
+                    slotTimed_[static_cast<size_t>(e.src[k])] = 1;
+        if (e.stage == Stage::Done) {
+            uint64_t entry = GoldenTimeline::kWrongPath;
+            if (!slotTimed_[i])
+                entry |= GoldenTimeline::kInert |
+                         (wrongSerial_ & GoldenTimeline::kSerialMask);
+            ++wrongSerial_;
+            if (e.hasDest)
+                timeline_->anyDest[slotAnyDest_[i]] = entry;
+            if (info(e.insn.op).isFpArith)
+                timeline_->fpOp[static_cast<size_t>(
+                    isa::fpuOpFor(e.insn.op))][slotFpOp_[i]] = entry;
+        }
+    }
+
+    // An older store that survives this squash may have forwarded to
+    // one of those loads too; its own squash then sees the mark.
+    for (uint64_t q = sqHead_; q < sqTail_ && !timedLoads.empty(); ++q) {
+        size_t st = sq_[q & sqMask_];
+        const RobEntry &e = rob_[st];
+        if (e.seq < rob_[slot].seq && e.stage != Stage::InIQ &&
+            std::find(timedLoads.begin(), timedLoads.end(),
+                      std::make_pair(e.addr, e.size)) != timedLoads.end())
+            slotTimed_[st] = 1;
+    }
+
+    PendingFootprint p{rob_[slot].seq, 0, 0, {}};
+    uint32_t wroteX = 0, wroteF = 0;
+    for (size_t i = robNext(slot); i != tail_; i = robNext(i)) {
+        const RobEntry &e = rob_[i];
+        if (e.stage != Stage::InIQ) {
+            Sources s = sourcesOf(e.insn);
+            for (int k = 0; k < 2; ++k) {
+                if (s.reg[k] < 0 || (!s.isFp[k] && s.reg[k] == 0) ||
+                    !timedOperand(i, k))
+                    continue;
+                uint32_t bit = 1u << s.reg[k];
+                if (s.isFp[k])
+                    p.fregs |= bit & ~wroteF;
+                else
+                    p.xregs |= bit & ~wroteX;
+            }
+            if (loaded(e) && slotTimed_[i])
+                p.words.push_back(e.addr & ~7ULL);
+        }
+        if (e.hasDest)
+            (e.destIsFp ? wroteF : wroteX) |= 1u << e.destReg;
+        slotTimed_[i] = 0;
+    }
+    if (p.xregs || p.fregs || !p.words.empty())
+        pending_.push_back(std::move(p));
+}
+
+/**
+ * Turn seqs into commit positions. Every renamed instance either
+ * committed or was killed, and killed seqs form the union of the
+ * squashed ranges, so an instance's commit index is its seq minus the
+ * killed seqs below it. A wrong path is filed under the number of
+ * instances committed up to its squashing instance's seq: right after
+ * that instance, or, for a squash nested in a wrong path, right after
+ * the outer path's anchor.
+ */
+void
+CorePipeline::finishTimeline()
+{
+    if (!timeline_)
+        return;
+    std::sort(killed_.begin(), killed_.end());
+    std::vector<std::pair<uint64_t, uint64_t>> runs; // disjoint [lo, hi)
+    for (const auto &r : killed_) {
+        if (!runs.empty() && r.first <= runs.back().second)
+            runs.back().second = std::max(runs.back().second, r.second);
+        else
+            runs.push_back(r);
+    }
+    std::vector<uint64_t> killedBelow(runs.size() + 1, 0);
+    for (size_t i = 0; i < runs.size(); ++i)
+        killedBelow[i + 1] =
+            killedBelow[i] + runs[i].second - runs[i].first;
+    // Committed instances with seq <= s.
+    auto committedUpTo = [&](uint64_t s) {
+        auto it = std::upper_bound(
+            runs.begin(), runs.end(), s,
+            [](uint64_t v, const auto &r) { return v < r.first; });
+        size_t i = static_cast<size_t>(it - runs.begin());
+        uint64_t dead = killedBelow[i];
+        if (i > 0 && s < runs[i - 1].second)
+            dead -= runs[i - 1].second - 1 - s;
+        return s + 1 - dead;
+    };
+    auto toIndex = [&](std::vector<uint64_t> &map) {
+        for (uint64_t &v : map)
+            if (!(v & GoldenTimeline::kWrongPath))
+                v = committedUpTo(v) - 1;
+    };
+    toIndex(timeline_->anyDest);
+    for (auto &map : timeline_->fpOp)
+        toIndex(map);
+
+    std::vector<std::pair<uint64_t, size_t>> order;
+    for (size_t i = 0; i < pending_.size(); ++i)
+        order.push_back({committedUpTo(pending_[i].seq), i});
+    std::sort(order.begin(), order.end());
+    auto &fps = timeline_->footprints;
+    for (const auto &[retired, i] : order) {
+        const PendingFootprint &p = pending_[i];
+        if (fps.empty() || fps.back().retired != retired) {
+            auto at = static_cast<uint32_t>(timeline_->words.size());
+            fps.push_back({retired, 0, 0, at, at});
+        }
+        GoldenTimeline::Footprint &fp = fps.back();
+        fp.xregs |= p.xregs;
+        fp.fregs |= p.fregs;
+        timeline_->words.insert(timeline_->words.end(), p.words.begin(),
+                                p.words.end());
+        fp.wordEnd = static_cast<uint32_t>(timeline_->words.size());
+    }
+    pending_.clear();
+    killed_.clear();
+    timeline_->committed = committed_;
 }
 
 CorePipeline::Step

@@ -32,6 +32,7 @@
 #include "isa/program.hh"
 #include "sim/ooo_sim.hh"
 #include "sim/sim_types.hh"
+#include "sim/timeline.hh"
 
 namespace tea::sim {
 
@@ -205,6 +206,15 @@ class CorePipeline
      */
     void restart(uint64_t entryIdx, uint64_t sp);
 
+    /**
+     * Record this run's timeline into `tl` (sim/timeline.hh): which
+     * instance each completion index was, and what each wrong path
+     * read. Golden runs only; call before the first step, and
+     * finishTimeline() once the run has halted.
+     */
+    void recordTimeline(GoldenTimeline *tl);
+    void finishTimeline();
+
     unsigned coreId() const { return coreId_; }
     uint64_t cycles() const { return cycles_; }
     uint64_t committed() const { return committed_; }
@@ -290,6 +300,14 @@ class CorePipeline
         return ops_[static_cast<size_t>(op)];
     }
 
+    /** Register sources of an instruction, as rename() reads them. */
+    struct Sources
+    {
+        int reg[2]; ///< [0] = rs1-class, [1] = rs2 / store data; -1 = none
+        bool isFp[2];
+    };
+    Sources sourcesOf(const isa::Instruction &insn) const;
+
     enum class CommitOutcome { Continue, Halt, Crash };
     enum class MemCheck { Ready, Forward, Wait };
 
@@ -335,6 +353,8 @@ class CorePipeline
     void writeback();
     void patchWaiters(size_t slot, uint64_t value, uint32_t taint);
     CommitOutcome commit(TrapKind &trapOut);
+    void noteCompletion(size_t slot);
+    void noteSquash(size_t slot);
 
     const isa::Program &prog_;
     OooConfig cfg_;
@@ -417,6 +437,28 @@ class CorePipeline
     uint64_t injApplied_ = 0, injWrongPath_ = 0;
     uint64_t mispredicts_ = 0, squashed_ = 0;
     uint64_t crossLoads_ = 0;
+
+    // Timeline recording (recordTimeline(); null on injection runs).
+    GoldenTimeline *timeline_ = nullptr;
+    /** Completion indices of each ROB slot's instance, per category. */
+    std::vector<uint64_t> slotAnyDest_, slotFpOp_;
+    /**
+     * Set when an issued wrong-path instance used the slot's value for
+     * timing, directly or through its own result; cleared when the
+     * slot's instance leaves the ROB. A stale mark only errs safe.
+     */
+    std::vector<uint8_t> slotTimed_;
+    uint64_t wrongSerial_ = 0; ///< squashed completions so far
+    /** A squashed wrong path's reads, until finishTimeline(). */
+    struct PendingFootprint
+    {
+        uint64_t seq; ///< the squashing instance
+        uint32_t xregs, fregs;
+        std::vector<uint64_t> words;
+    };
+    std::vector<PendingFootprint> pending_;
+    /** The seq range [first, end) each squash killed. */
+    std::vector<std::pair<uint64_t, uint64_t>> killed_;
 };
 
 } // namespace tea::sim

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 
@@ -263,6 +264,38 @@ TEST(Results, GridCacheKeyCoversTheWorkloadList)
     GridSpec all, listed;
     listed.workloads = workloads::workloadNames();
     EXPECT_EQ(gridCachePath(opt, all), gridCachePath(opt, listed));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(Results, GridCsvKeepsEveryBitOfTheVrLevel)
+{
+    // The grid CSV writes VR levels as plans and CELL frames do
+    // (%.17g), so a grid reloaded from it reports the vrFrac of a
+    // fresh one, not a 6-digit rounding of it.
+    const std::string dir = "/tmp/tea_test_cache_gridvr";
+    std::filesystem::remove_all(dir);
+    auto opt = tinyOptions();
+    opt.cacheDir = dir;
+    opt.vrLevels = {0.2000000000000001};
+    Toolflow tf(opt);
+    GridSpec sobel;
+    sobel.workloads = {"sobel"};
+    auto fresh = runEvaluationGrid(tf, sobel);
+    auto cached = loadGrid(gridCachePath(opt, sobel));
+    ASSERT_TRUE(cached.has_value());
+    ASSERT_EQ(fresh.cells.size(), 3u);
+    ASSERT_EQ(cached->cells.size(), fresh.cells.size());
+    auto bits = [](double v) {
+        uint64_t b;
+        std::memcpy(&b, &v, sizeof b);
+        return b;
+    };
+    for (size_t i = 0; i < fresh.cells.size(); ++i) {
+        EXPECT_EQ(bits(fresh.cells[i].vrFrac), bits(0.2000000000000001));
+        EXPECT_EQ(bits(cached->cells[i].vrFrac),
+                  bits(fresh.cells[i].vrFrac))
+            << i;
+    }
     std::filesystem::remove_all(dir);
 }
 

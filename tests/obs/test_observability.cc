@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -345,6 +347,77 @@ TEST(Metrics, RunRangeCountsWatchdogOutcomes)
     EXPECT_TRUE(faults.empty());
     EXPECT_EQ(cancelled.value() - cancelledBefore, 1u);
     EXPECT_EQ(deadline.value() - deadlineBefore, 0u);
+}
+
+TEST(Metrics, RunAndRunRangeCountReplaysCancelsAndDeadlines)
+{
+    // run() and runRange() share one per-run loop. Replays count in
+    // both; deadline cut-offs count once per executed run, and run()
+    // also counts a replayed cut-off, as it always has.
+    inject::InjectionCampaign campaign(workloads::buildWorkload("mg", 1));
+    Registry &reg = Registry::global();
+    Counter deadline = reg.counter(metric::kWatchdogDeadline);
+    Counter cancelled = reg.counter(metric::kWatchdogCancelled);
+    Counter replays = reg.counter(metric::kInjectReplays);
+    ThreadPool pool(2);
+    LateEventModel late;
+    using Record = inject::InjectionCampaign::RunRecord;
+
+    // Run 0 replays a journaled cut-off, runs 1 and 2 execute into a
+    // 1 ms deadline, run 3 replays a finished run.
+    inject::InjectionCampaign::RunOptions opts;
+    opts.pool = &pool;
+    opts.runDeadlineMs = 1;
+    opts.replay = [](uint64_t i, Record &r) {
+        if (i != 0 && i != 3)
+            return false;
+        r = Record{};
+        if (i == 0) {
+            r.outcome = inject::Outcome::EngineFault;
+            r.fault = ErrorCode::RunDeadline;
+        }
+        return true;
+    };
+    std::atomic<int> completed{0};
+    opts.onComplete = [&](uint64_t, const Record &) { ++completed; };
+
+    uint64_t d0 = deadline.value(), c0 = cancelled.value();
+    uint64_t r0 = replays.value();
+    Rng rng(1);
+    auto res = campaign.run(late, 4, rng, opts);
+    EXPECT_EQ(res.runs, 4u);
+    EXPECT_EQ(res.engineFault, 3u);
+    EXPECT_EQ(completed.load(), 2);
+    EXPECT_EQ(replays.value() - r0, 2u);
+    EXPECT_EQ(deadline.value() - d0, 3u);
+    EXPECT_EQ(cancelled.value() - c0, 0u);
+
+    completed = 0;
+    d0 = deadline.value();
+    r0 = replays.value();
+    Rng rng2(1);
+    EXPECT_EQ(campaign.runRange(late, 0, 4, rng2, opts), 2u);
+    EXPECT_EQ(completed.load(), 2);
+    EXPECT_EQ(replays.value() - r0, 2u);
+    EXPECT_EQ(deadline.value() - d0, 2u);
+    EXPECT_EQ(cancelled.value() - c0, 0u);
+
+    // A cancellation during run 0's planning abandons it mid-run and
+    // starts no other run: nothing is recorded by either entry point.
+    CancelToken token;
+    LateEventModel cancelling(&token);
+    inject::InjectionCampaign::RunOptions copts;
+    copts.pool = &pool;
+    copts.cancel = &token;
+    Rng rng3(1);
+    auto cres = campaign.run(cancelling, 1, rng3, copts);
+    EXPECT_TRUE(cres.interrupted);
+    EXPECT_EQ(cres.runs, 0u);
+    EXPECT_EQ(cancelled.value() - c0, 1u);
+    token.reset();
+    Rng rng4(1);
+    EXPECT_EQ(campaign.runRange(cancelling, 0, 1, rng4, copts), 0u);
+    EXPECT_EQ(cancelled.value() - c0, 2u);
 }
 
 TEST(Determinism, CampaignBytesIdenticalWithObsOnVsOff)

@@ -25,6 +25,25 @@ TEST(FuncSim, HaltsAndCounts)
     EXPECT_EQ(sim.opCount(0, Op::BNE), 10u);
 }
 
+TEST(FuncSim, LoadIntoX0IsDropped)
+{
+    // x0 reads 0 after a load into it, as on the OoO core, which gives
+    // an x0 destination no register at all.
+    AsmBuilder b("t");
+    b.dataI64("word", {42});
+    b.dataSpace("out", 8);
+    b.la(5, "word");
+    b.la(6, "out");
+    b.ld(0, 5, 0);
+    b.add(7, 0, 0);
+    b.sd(7, 6, 0);
+    b.halt();
+    Program p = b.build();
+    FuncSim sim(p);
+    ASSERT_EQ(sim.run().status, FuncSim::Status::Halted);
+    EXPECT_EQ(sim.memory().read(p.symbol("out"), 8), 0u);
+}
+
 TEST(FuncSim, TrapsOnUnmappedLoad)
 {
     AsmBuilder b("t");
