@@ -16,7 +16,9 @@
 # gates then rerun single labels so a regression shows as its own line:
 # IS calibration, multi-core determinism, cycle-exactness, and the DTA
 # oracle gate (the compiled engine against `lanes = 1`, the levelized
-# oracle), the latter three under both the sanitizer and regular builds.
+# oracle), the latter three under both the sanitizer and regular builds,
+# and a source check that only process entry points name the
+# process-wide cancel token.
 #
 # Usage: scripts/ci.sh [jobs]
 set -u
@@ -119,4 +121,32 @@ if ! (cd "$root/build-san" && \
     echo "ci: DTA oracle gate FAILED"
     exit 1
 fi
-echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core + cycle-exactness + DTA oracle green)"
+# Cancellation gate: a campaign stops on the one token its caller
+# hands it (Toolflow, runFleetGrid, the daemon's per-campaign token).
+# The process-wide token SIGINT/SIGTERM cancel may be named only where
+# it is defined and signalled (util/watchdog.cc), at the process entry
+# points (tea-daemon's main, the fleet workerMain) and as the default
+# arguments of Toolflow and runFleetGrid; a lookup anywhere else would
+# let a signal stop what a caller owns.
+echo "=== ci: cancellation gate (process-wide token at entry points only) ==="
+stray=$(find "$root/src" \( -name '*.cc' -o -name '*.hh' \) -print |
+    sort | xargs awk '
+    FNR == 1 { fn = "" }
+    /^[A-Za-z_][A-Za-z0-9_:~]*\(/ { fn = $0; sub(/\(.*/, "", fn) }
+    /CancelToken::processWide\(\)/ {
+        f = FILENAME; sub(/.*\/src\//, "src/", f)
+        if (f == "src/util/watchdog.cc") next
+        if (f == "src/service/tea_daemon_main.cc" && fn == "main") next
+        if (f == "src/fleet/worker.cc" && fn == "workerMain") next
+        if ((f == "src/core/toolflow.hh" ||
+             f == "src/fleet/coordinator.hh") &&
+            $0 ~ /const CancelToken &cancel = CancelToken::processWide\(\)\)/)
+            next
+        print f ":" FNR ": " $0
+    }')
+if [ -n "$stray" ]; then
+    echo "$stray"
+    echo "ci: cancellation gate FAILED (process-wide token outside the entry points)"
+    exit 1
+fi
+echo "ci: OK (sanitizer + portable-SIMD + TSan + IS calibration + multi-core + cycle-exactness + DTA oracle + cancellation green)"

@@ -452,7 +452,6 @@ runGridCell(Toolflow &tf, const CellPlan &plan,
                 &onFreshRecord)
 {
     const auto &opt = tf.options();
-    const CancelToken &cancel = CancelToken::processWide();
     auto &campaign = tf.campaign(plan.workload);
     auto model = cellModel(tf, plan);
 
@@ -462,13 +461,7 @@ runGridCell(Toolflow &tf, const CellPlan &plan,
            opt.adaptive() ? " max, adaptive" : "");
     Rng cellRng = Rng::fromState(plan.rngState);
 
-    inject::InjectionCampaign::RunOptions ro;
-    ro.pool = &tf.pool();
-    ro.cancel = &cancel;
-    ro.runDeadlineMs = opt.runDeadlineMs;
-    ro.maxAttempts = opt.maxRunAttempts;
-    ro.ciTarget = opt.ciTarget;
-    ro.ciConf = opt.ciConf;
+    inject::InjectionCampaign::RunOptions ro = tf.runOptions();
     std::unique_ptr<ShardJournal> journal;
     size_t replayable = 0;
     if (!opt.cacheDir.empty()) {
@@ -567,7 +560,16 @@ runEvaluationGrid(Toolflow &tf, bool useCache)
 EvaluationGrid
 runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
 {
-    const auto &opt = tf.options();
+    return runGrid(tf.options(), spec, tf.cancelToken(),
+                   [&tf](const CellPlan &plan, const std::string &csv) {
+                       return SourcedCell{runGridCell(tf, plan, csv)};
+                   });
+}
+
+EvaluationGrid
+runGrid(const ToolflowOptions &opt, const GridSpec &spec,
+        const CancelToken &cancel, const CellSource &source)
+{
     const std::string cachePath =
         spec.useCache ? gridCachePath(opt, spec) : "";
     if (auto grid = loadGrid(cachePath)) {
@@ -579,16 +581,13 @@ runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
     EvaluationGrid grid;
     std::vector<std::string> journalPaths;
     for (const CellPlan &plan : planEvaluationGrid(opt, spec)) {
-        if (spec.stopFlag &&
-            spec.stopFlag->load(std::memory_order_relaxed)) {
+        if (cancel.cancelled()) {
             grid.interrupted = true;
             break;
         }
-        CampaignCell cell = runGridCell(tf, plan, cachePath);
-        if (!opt.cacheDir.empty())
-            journalPaths.push_back(cellJournalPath(
-                opt, plan.workload, plan.model, plan.vrFrac));
-        if (cell.result.interrupted) {
+        SourcedCell got = source(plan, cachePath);
+        const inject::CampaignResult &r = got.cell.result;
+        if (r.interrupted) {
             // Partial cell: its completed runs are safely in the
             // journal; the aggregate is not comparable and is
             // reported, not recorded.
@@ -597,18 +596,19 @@ runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
                    "enginefault=%llu)",
                    plan.workload.c_str(),
                    models::modelKindName(plan.model), plan.vrFrac * 100,
-                   static_cast<unsigned long long>(cell.result.runs),
-                   plan.runCap,
-                   static_cast<unsigned long long>(cell.result.masked),
-                   static_cast<unsigned long long>(cell.result.sdc),
-                   static_cast<unsigned long long>(cell.result.crash),
-                   static_cast<unsigned long long>(cell.result.timeout),
-                   static_cast<unsigned long long>(
-                       cell.result.engineFault));
+                   static_cast<unsigned long long>(r.runs), plan.runCap,
+                   static_cast<unsigned long long>(r.masked),
+                   static_cast<unsigned long long>(r.sdc),
+                   static_cast<unsigned long long>(r.crash),
+                   static_cast<unsigned long long>(r.timeout),
+                   static_cast<unsigned long long>(r.engineFault));
             grid.interrupted = true;
             break;
         }
-        grid.cells.push_back(std::move(cell));
+        if (got.journaled && !opt.cacheDir.empty())
+            journalPaths.push_back(cellJournalPath(
+                opt, plan.workload, plan.model, plan.vrFrac));
+        grid.cells.push_back(std::move(got.cell));
         if (spec.onCell)
             spec.onCell(grid.cells.back());
     }

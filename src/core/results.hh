@@ -18,7 +18,6 @@
 #define TEA_CORE_RESULTS_HH
 
 #include <array>
-#include <atomic>
 #include <functional>
 #include <map>
 #include <optional>
@@ -66,26 +65,15 @@ struct GridSpec
     std::vector<std::string> workloads;
     bool useCache = true;
 
-    // ---- observation-only execution hooks ---------------------------
-    // Neither field is part of the campaign identity: they are never
-    // serialized into fleet plans and have no effect on any byte the
-    // campaign produces. The service daemon uses them to stream
-    // per-cell results to clients and to stop one campaign without
-    // cancelling the whole process.
-
     /**
-     * Invoked after each cell completes and is appended to the grid
-     * (from the executing thread, in canonical cell order). Not
-     * invoked when the whole grid is served from its CSV cache.
+     * Observation-only: invoked after each cell completes and is
+     * appended to the grid (from the executing thread, in canonical
+     * cell order), so the daemon can stream cells to its clients.
+     * Never serialized into fleet plans and without effect on any byte
+     * the campaign produces. Not invoked when the whole grid is served
+     * from its CSV cache.
      */
     std::function<void(const CampaignCell &)> onCell;
-    /**
-     * Cooperative per-campaign stop, honoured at cell boundaries like
-     * the process-wide CancelToken: the grid returns with
-     * `interrupted = true` and the completed prefix intact (journals
-     * preserved for a resume).
-     */
-    const std::atomic<bool> *stopFlag = nullptr;
 };
 
 /**
@@ -164,9 +152,36 @@ CampaignCell runGridCell(
                              const inject::InjectionCampaign::RunRecord &)>
         &onFreshRecord = {});
 
+/** One planned cell as a grid's cell source delivers it. */
+struct SourcedCell
+{
+    CampaignCell cell;
+    /**
+     * False for a result no journal backs (a fleet's poisoned cell):
+     * whatever sits at its journal path stays for the post-mortem.
+     */
+    bool journaled = true;
+};
+
+/** Delivers one planned cell; the grid CSV path is for its manifest. */
+using CellSource = std::function<SourcedCell(
+    const CellPlan &, const std::string &gridCsvPath)>;
+
 /**
- * Run (or load from cache) the evaluation grid for `spec`; the
- * default spec is the paper's full grid.
+ * The one grid loop: load `spec`'s grid CSV, or take every planned
+ * cell from `source` in canonical order, then save the CSV and remove
+ * the cells' journals. Before each cell it polls `cancel`; a
+ * cancellation or an interrupted cell returns the completed prefix
+ * with `interrupted` set and every journal kept for a resume.
+ */
+EvaluationGrid runGrid(const ToolflowOptions &opt, const GridSpec &spec,
+                       const CancelToken &cancel,
+                       const CellSource &source);
+
+/**
+ * Run (or load from cache) the evaluation grid for `spec` in this
+ * process, every cell through runGridCell under the toolflow's cancel
+ * token; the default spec is the paper's full grid.
  */
 EvaluationGrid runEvaluationGrid(Toolflow &tf, const GridSpec &spec);
 EvaluationGrid runEvaluationGrid(Toolflow &tf, bool useCache = true);

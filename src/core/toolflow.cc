@@ -21,14 +21,15 @@ namespace tea::core {
 
 using timing::CampaignStats;
 
-Toolflow::Toolflow(ToolflowOptions opt)
-    : opt_(std::move(opt)),
+Toolflow::Toolflow(ToolflowOptions opt, const CancelToken &cancel)
+    : opt_(std::move(opt)), cancel_(&cancel), cancelWatchdog_(&cancel),
       pool_(std::make_unique<ThreadPool>(opt_.threads)),
       core_(std::make_unique<fpu::FpuCore>())
 {
-    // First SIGINT/SIGTERM flips the process-wide cancel token; the
-    // campaigns poll it cooperatively, flush their journals, and the
-    // drivers print partial results instead of dying mid-write.
+    // First SIGINT/SIGTERM flips the process-wide cancel token (the
+    // default one); the campaigns poll their token cooperatively,
+    // flush their journals, and the drivers print partial results
+    // instead of dying mid-write.
     installShutdownHandlers();
     // Arm REPRO_TRACE / REPRO_METRICS (idempotent; bench mains may
     // already have armed them from --trace/--metrics flags).
@@ -42,6 +43,19 @@ Toolflow::Toolflow(ToolflowOptions opt)
             opt_.cacheDir.clear();
         }
     }
+}
+
+inject::InjectionCampaign::RunOptions
+Toolflow::runOptions() const
+{
+    inject::InjectionCampaign::RunOptions ro;
+    ro.pool = pool_.get();
+    ro.cancel = cancel_;
+    ro.runDeadlineMs = opt_.runDeadlineMs;
+    ro.maxAttempts = opt_.maxRunAttempts;
+    ro.ciTarget = opt_.ciTarget;
+    ro.ciConf = opt_.ciConf;
+    return ro;
 }
 
 size_t

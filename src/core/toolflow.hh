@@ -145,7 +145,14 @@ constexpr double kMinVrFrac = 0.0, kMaxVrFrac = 0.5;
 class Toolflow
 {
   public:
-    explicit Toolflow(ToolflowOptions opt);
+    /**
+     * `cancel` is the campaign's one stop signal: every DTA campaign
+     * and injection run this toolflow starts polls it. The default is
+     * the token SIGINT/SIGTERM cancel; a caller that runs several
+     * campaigns in one process (the daemon) hands each its own.
+     */
+    explicit Toolflow(ToolflowOptions opt,
+                      const CancelToken &cancel = CancelToken::processWide());
     Toolflow() : Toolflow(optionsFromEnv()) {}
 
     const ToolflowOptions &options() const { return opt_; }
@@ -153,8 +160,13 @@ class Toolflow
     const circuit::VoltageModel &voltageModel() const { return vm_; }
     /** Worker pool shared by every campaign this toolflow runs. */
     ThreadPool &pool() { return *pool_; }
-    /** Process-wide cancellation watchdog (SIGINT/SIGTERM). */
-    const Watchdog &cancelWatchdog() const { return cancelWatchdog_; }
+    const CancelToken &cancelToken() const { return *cancel_; }
+    /**
+     * Injection-run options of this toolflow's campaigns: its pool,
+     * cancel token, run deadline, attempts and adaptive stopping
+     * (which runRange ignores: range units always run whole).
+     */
+    inject::InjectionCampaign::RunOptions runOptions() const;
 
     /**
      * Build a filesystem-safe cache/journal tag "<prefix>_<name>_n<n>".
@@ -213,8 +225,9 @@ class Toolflow
 
     ToolflowOptions opt_;
     circuit::VoltageModel vm_;
+    const CancelToken *cancel_;
     /** Cancellation-only watchdog passed into every DTA campaign. */
-    Watchdog cancelWatchdog_{&CancelToken::processWide(), 0};
+    Watchdog cancelWatchdog_;
     std::unique_ptr<ThreadPool> pool_;
     std::unique_ptr<fpu::FpuCore> core_;
     std::map<int, size_t> points_; ///< key: VR percent x 100

@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -14,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <thread>
+#include <utility>
 
 #include "core/journal.hh"
 #include "fleet/queue.hh"
@@ -102,25 +102,21 @@ class Supervisor
 {
   public:
     Supervisor(WorkQueue &q, const FleetOptions &fopt,
-               const std::vector<WorkUnit> &units)
-        : q_(q), fopt_(fopt), units_(units)
+               const std::vector<WorkUnit> &units,
+               const CancelToken &cancel)
+        : q_(q), fopt_(fopt), units_(units), cancel_(cancel)
     {
     }
 
     ~Supervisor() { terminateAll(); }
 
     /**
-     * Supervise until every unit is done or poisoned. Returns false
-     * when the campaign must finish in-process: cooperative
-     * cancellation, an unrespawnable worker, or an exhausted restart
-     * budget.
+     * Supervise until every unit is done or poisoned, the campaign is
+     * cancelled, a worker cannot be respawned, or the restart budget
+     * is exhausted; every worker is reaped on return. The merge phase
+     * finishes whatever is left in-process.
      */
-    bool superviseToCompletion();
-
-    bool cancelled() const { return cancelled_; }
-
-    /** Per-campaign cooperative stop (GridSpec::stopFlag). */
-    void setStop(const std::atomic<bool> *stop) { stop_ = stop; }
+    void supervise();
 
   private:
     bool allResolved() const
@@ -169,14 +165,13 @@ class Supervisor
     WorkQueue &q_;
     const FleetOptions &fopt_;
     const std::vector<WorkUnit> &units_;
+    const CancelToken &cancel_;
     std::vector<WorkerProc> workers_;
     /** Children that exited — their leases are instantly stale. */
     std::set<int64_t> deadPids_;
     /** unit id -> earliest reissue time (exponential backoff). */
     std::map<uint64_t, int64_t> reissueAt_;
-    const std::atomic<bool> *stop_ = nullptr;
     int restartBudget_ = 0;
-    bool cancelled_ = false;
 
   public:
     void setRestartBudget(int n) { restartBudget_ = n; }
@@ -335,42 +330,23 @@ Supervisor::terminateAll()
     }
 }
 
-bool
-Supervisor::superviseToCompletion()
+void
+Supervisor::supervise()
 {
-    const CancelToken &cancel = CancelToken::processWide();
-    while (true) {
-        if (cancel.cancelled() ||
-            (stop_ && stop_->load(std::memory_order_relaxed))) {
-            cancelled_ = true;
-            terminateAll();
-            return false;
-        }
-        if (allResolved()) {
-            terminateAll();
-            return true;
-        }
-        if (!reapWorkers()) {
-            cancelled_ = cancel.cancelled();
-            terminateAll();
-            return false;
-        }
+    while (!cancel_.cancelled() && !allResolved() && reapWorkers()) {
         reapLeases();
         if (liveWorkers() == 0 && reissueAt_.empty() &&
             !allResolved()) {
             // Workers drained while leases still pend on nothing —
             // e.g. every remaining unit is poisoned-adjacent debris.
             // Respawn one if the budget allows, else fall back.
-            if (restartBudget_-- > 0) {
-                if (!spawn())
-                    return false;
-            } else {
-                return false;
-            }
+            if (restartBudget_-- <= 0 || !spawn())
+                break;
         }
         std::this_thread::sleep_for(
             std::chrono::milliseconds(fopt_.pollMs));
     }
+    terminateAll();
 }
 
 /**
@@ -428,48 +404,59 @@ fleetOptionsFromEnv()
 
 EvaluationGrid
 runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
-             const GridSpec &spec)
+             const GridSpec &spec, const CancelToken &cancel)
 {
-    const std::string cachePath =
-        spec.useCache ? core::gridCachePath(opt, spec) : "";
-    if (auto grid = core::loadGrid(cachePath)) {
-        inform("loaded cached evaluation grid %s", cachePath.c_str());
-        return *grid;
-    }
-    if (fopt.workers <= 0 || fopt.workerBin.empty()) {
-        core::Toolflow tf(opt);
-        return core::runEvaluationGrid(tf, spec);
-    }
+    const bool farm = fopt.workers > 0 && !fopt.workerBin.empty();
+    // The in-process toolflow, built when a cell first needs it (a
+    // cached grid never does): every cell without a fleet; with one,
+    // the sharded cells to merge and whatever the fleet could not
+    // finish, which by determinism is byte-identical to what a worker
+    // would have produced. Merging replays the workers' journals.
+    ToolflowOptions localOpt = opt;
+    localOpt.resume = opt.resume || farm;
+    std::unique_ptr<core::Toolflow> local;
+    auto tf = [&]() -> core::Toolflow & {
+        if (!local)
+            local = std::make_unique<core::Toolflow>(localOpt, cancel);
+        return *local;
+    };
+    if (!farm)
+        return core::runGrid(
+            opt, spec, cancel,
+            [&](const CellPlan &cp, const std::string &csv) {
+                return core::SourcedCell{core::runGridCell(tf(), cp, csv)};
+            });
 
-    obs::Span fleetSpan("fleet.grid", "fleet");
     std::vector<CellPlan> cells = core::planEvaluationGrid(opt, spec);
     std::vector<WorkUnit> units =
         planUnits(opt, cells, fopt.shardRuns);
-
-    FleetPlan plan;
-    plan.opt = opt;
-    // Workers always resume: a reissued unit must pick up its
-    // predecessor's journal instead of discarding it.
-    plan.opt.resume = true;
-    if (fopt.workerThreads > 0)
-        plan.opt.threads = fopt.workerThreads;
-    plan.spec = spec;
-    plan.leaseMs = fopt.leaseMs;
-
     std::string spool = !fopt.spoolDir.empty() ? fopt.spoolDir
                         : !opt.cacheDir.empty()
                             ? opt.cacheDir + "/fleet"
                             : std::string("tea_fleet");
     WorkQueue q(spool);
-    bool published = q.publish(plan, units);
-    if (!published)
-        warn("fleet: cannot publish spool '%s'; running in-process",
-             spool.c_str());
-
-    Supervisor sup(q, fopt, units);
-    sup.setStop(spec.stopFlag);
+    // Farm the campaign out when the grid loop asks for its first
+    // cell, so a cached grid publishes nothing.
     bool farmed = false;
-    if (published) {
+    auto farmOut = [&] {
+        if (std::exchange(farmed, true))
+            return;
+        obs::Span fleetSpan("fleet.grid", "fleet");
+        FleetPlan plan;
+        plan.opt = opt;
+        // Workers always resume: a reissued unit must pick up its
+        // predecessor's journal instead of discarding it.
+        plan.opt.resume = true;
+        if (fopt.workerThreads > 0)
+            plan.opt.threads = fopt.workerThreads;
+        plan.spec = spec;
+        plan.leaseMs = fopt.leaseMs;
+        if (!q.publish(plan, units)) {
+            warn("fleet: cannot publish spool '%s'; running in-process",
+                 spool.c_str());
+            return;
+        }
+        Supervisor sup(q, fopt, units, cancel);
         int nWorkers = std::min<int>(
             fopt.workers, static_cast<int>(units.size()));
         sup.setRestartBudget(fopt.maxAttempts *
@@ -478,104 +465,63 @@ runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
         inform("fleet: %zu unit(s) across %d worker(s), spool %s",
                units.size(), nWorkers, spool.c_str());
         sup.spawnInitial(nWorkers);
-        farmed = sup.superviseToCompletion();
-    }
-
-    // Merge phase. A coordinator Toolflow (resume on, local threads)
-    // replays sharded cells and executes whatever the fleet could not
-    // finish — by determinism the in-process remainder is
-    // byte-identical to what a worker would have produced.
-    ToolflowOptions mergeOpt = opt;
-    mergeOpt.resume = true;
-    std::unique_ptr<core::Toolflow> mergeTf;
-    auto tf = [&]() -> core::Toolflow & {
-        if (!mergeTf)
-            mergeTf = std::make_unique<core::Toolflow>(mergeOpt);
-        return *mergeTf;
+        sup.supervise();
     };
 
-    EvaluationGrid grid;
-    std::vector<std::string> journalPaths, shardPaths;
-    for (const CellPlan &cp : cells) {
-        if (spec.stopFlag &&
-            spec.stopFlag->load(std::memory_order_relaxed)) {
-            grid.interrupted = true;
-            break;
-        }
-        bool poisonedUnit = false, sharded = false;
-        bool allUnitsDone = true;
-        std::optional<UnitResult> cellDone;
-        for (const WorkUnit &u : units) {
-            if (u.cell != cp.index)
-                continue;
-            sharded = u.kind == WorkUnit::Kind::Range;
-            if (q.isPoisoned(u.id))
-                poisonedUnit = true;
-            else if (!q.isDone(u.id))
-                allUnitsDone = false;
-            else if (!sharded)
-                cellDone = q.loadDone(u.id);
-            if (sharded)
-                shardPaths.push_back(q.shardJournalPath(u.id));
-        }
-        if (sup.cancelled() && !allUnitsDone && !poisonedUnit) {
-            // Cancelled with this cell incomplete: stop here with the
-            // completed prefix, exactly like the in-process grid.
-            grid.interrupted = true;
-            break;
-        }
-        if (poisonedUnit) {
-            grid.cells.push_back(poisonedCell(cp));
-            if (spec.onCell)
-                spec.onCell(grid.cells.back());
-            continue;
-        }
-        core::CampaignCell cell;
-        if (!sharded && cellDone && allUnitsDone) {
-            // A worker ran the whole cell (journal + manifest
-            // already on disk); only the counters travel back.
-            cell.workload = cp.workload;
-            cell.model = cp.model;
-            cell.vrFrac = cp.vrFrac;
-            cell.result = cellDone->result;
-            cell.result.workload = cp.workload;
-            cell.result.model = models::modelKindName(cp.model);
-        } else {
-            // Sharded cell, or one the fleet never finished: merge
-            // whatever shard records exist (sharded case), then let
-            // the canonical cell path replay them and execute any
-            // gaps in-process.
-            if (sharded)
-                mergeShardJournals(tf(), cp, q, units);
-            cell = core::runGridCell(tf(), cp, cachePath);
-            if (cell.result.interrupted) {
-                grid.interrupted = true;
-                break;
+    std::vector<std::string> shardPaths;
+    EvaluationGrid grid = core::runGrid(
+        opt, spec, cancel,
+        [&](const CellPlan &cp,
+            const std::string &csv) -> core::SourcedCell {
+            farmOut();
+            bool poisoned = false, sharded = false, allDone = true;
+            std::optional<UnitResult> cellDone;
+            for (const WorkUnit &u : units) {
+                if (u.cell != cp.index)
+                    continue;
+                sharded = u.kind == WorkUnit::Kind::Range;
+                if (q.isPoisoned(u.id))
+                    poisoned = true;
+                else if (!q.isDone(u.id))
+                    allDone = false;
+                else if (!sharded)
+                    cellDone = q.loadDone(u.id);
+                if (sharded)
+                    shardPaths.push_back(q.shardJournalPath(u.id));
             }
-        }
-        if (!opt.cacheDir.empty())
-            journalPaths.push_back(core::cellJournalPath(
-                opt, cp.workload, cp.model, cp.vrFrac));
-        grid.cells.push_back(std::move(cell));
-        if (spec.onCell)
-            spec.onCell(grid.cells.back());
-    }
-    (void)farmed;
-    if (grid.interrupted) {
-        inform("fleet grid interrupted with %zu cell(s) complete; "
-               "rerun with REPRO_RESUME=1 to pick up where it stopped",
-               grid.cells.size());
-        return grid;
-    }
-    if (!cachePath.empty())
-        core::saveGrid(cachePath, grid);
-    // Grid durable: journals (canonical and shard) have served their
-    // purpose. Poisoned cells never made journals worth keeping here;
-    // their spool debris stays for post-mortem.
-    for (const auto &p : journalPaths)
-        core::ShardJournal(p).remove();
-    for (const auto &p : shardPaths)
-        core::ShardJournal(p).remove();
+            core::SourcedCell got;
+            if (poisoned) {
+                got.cell = poisonedCell(cp);
+                got.journaled = false;
+            } else if (cellDone && allDone) {
+                // A worker ran the whole cell (journal + manifest
+                // already on disk); only the counters travel back.
+                got.cell.workload = cp.workload;
+                got.cell.model = cp.model;
+                got.cell.vrFrac = cp.vrFrac;
+                got.cell.result = cellDone->result;
+                got.cell.result.workload = cp.workload;
+                got.cell.result.model = models::modelKindName(cp.model);
+            } else if (!allDone && cancel.cancelled()) {
+                // Cancelled with this cell unfinished: stop without
+                // bringing up a toolflow only to be interrupted.
+                got.cell.result.interrupted = true;
+            } else {
+                // Sharded cell, or one the fleet never finished: merge
+                // whatever shard records exist, then let the canonical
+                // cell path replay them and execute any gaps here.
+                if (sharded)
+                    mergeShardJournals(tf(), cp, q, units);
+                got.cell = core::runGridCell(tf(), cp, csv);
+            }
+            return got;
+        });
+    // Grid durable: the shard journals have served their purpose
+    // (poisoned cells' canonical journals and spool debris stay for
+    // the post-mortem).
+    if (!grid.interrupted)
+        for (const auto &p : shardPaths)
+            core::ShardJournal(p).remove();
     return grid;
 }
 

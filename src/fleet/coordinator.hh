@@ -40,6 +40,7 @@
 #include "core/results.hh"
 #include "util/env.hh"
 #include "util/threadpool.hh"
+#include "util/watchdog.hh"
 
 namespace tea::fleet {
 
@@ -88,11 +89,15 @@ FleetOptions fleetOptionsFromEnv();
  * Run (or load from cache) the evaluation grid for `spec` across a
  * worker fleet. Byte-identical to runEvaluationGrid(tf, spec) for any
  * worker count, including under worker crashes; falls back to
- * in-process execution when `fopt` disables the fleet.
+ * in-process execution when `fopt` disables the fleet. Cancelling
+ * `cancel` stops the supervision (every worker is reaped) and the
+ * in-process cells at their next run, and returns an interrupted grid
+ * whose completed work stays journaled for a resume.
  */
-core::EvaluationGrid runFleetGrid(const core::ToolflowOptions &opt,
-                                  const FleetOptions &fopt,
-                                  const core::GridSpec &spec = {});
+core::EvaluationGrid
+runFleetGrid(const core::ToolflowOptions &opt, const FleetOptions &fopt,
+             const core::GridSpec &spec = {},
+             const CancelToken &cancel = CancelToken::processWide());
 
 } // namespace tea::fleet
 

@@ -145,11 +145,7 @@ executeRange(core::Toolflow &tf, WorkQueue &q, const WorkUnit &unit,
         core::cellIdentity(opt, plan.workload, *model, plan.vrFrac),
         /*resume=*/true);
 
-    InjectionCampaign::RunOptions ro;
-    ro.pool = &tf.pool();
-    ro.cancel = &CancelToken::processWide();
-    ro.runDeadlineMs = opt.runDeadlineMs;
-    ro.maxAttempts = opt.maxRunAttempts;
+    InjectionCampaign::RunOptions ro = tf.runOptions();
     ro.replay = [&journal](uint64_t i,
                            InjectionCampaign::RunRecord &rec) {
         return journal.tryReplay(i, rec);
@@ -182,9 +178,10 @@ workerMain(const std::string &spoolDir)
         return 2;
     }
     const TestHooks hooks = TestHooks::fromEnv();
+    // The worker's campaign token is the one SIGTERM cancels: the
+    // coordinator stops a worker by signalling it.
     const CancelToken &cancel = CancelToken::processWide();
-
-    core::Toolflow tf(plan->opt);
+    core::Toolflow tf(plan->opt, cancel);
     std::vector<CellPlan> cells =
         core::planEvaluationGrid(plan->opt, plan->spec);
     std::string gridCsv =

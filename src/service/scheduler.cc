@@ -265,9 +265,9 @@ Scheduler::cancel(uint64_t id)
         break;
       }
       case CampaignState::Running:
-        // Raised flag only: the executor winds the campaign down at
-        // its next cell boundary and records the terminal state.
-        c.stop.store(true, std::memory_order_relaxed);
+        // Token only: the running runs stop at their next watchdog
+        // poll, and the executor records the terminal state.
+        c.cancel.cancel();
         break;
       default:
         break; // already terminal — cancel is idempotent
@@ -320,8 +320,8 @@ Scheduler::stop()
             return;
         stopping_ = true;
         paused_ = false;
-        // Queued campaigns will never run now; running ones get the
-        // cooperative stop and finish as Cancelled.
+        // Queued campaigns will never run now; running ones are
+        // cancelled and finish as Cancelled.
         for (uint64_t id : queue_) {
             Campaign &c = *campaigns_.at(id);
             c.state = CampaignState::Cancelled;
@@ -330,7 +330,7 @@ Scheduler::stop()
         queue_.clear();
         for (auto &[id, c] : campaigns_)
             if (c->state == CampaignState::Running)
-                c->stop.store(true, std::memory_order_relaxed);
+                c->cancel.cancel();
         updateGauges();
         cv_.notify_all();
     }
@@ -385,7 +385,6 @@ void
 Scheduler::execute(Campaign &c)
 {
     core::GridSpec spec = c.plan.spec;
-    spec.stopFlag = &c.stop;
     spec.onCell = [this, &c](const core::CampaignCell &cell) {
         {
             std::lock_guard<std::mutex> lock(mu_);
@@ -400,9 +399,9 @@ Scheduler::execute(Campaign &c)
     fopt.spoolDir = opt_.spoolRoot + "/" + fleet::spoolNamespace(c.plan);
 
     core::EvaluationGrid grid =
-        fleet::runFleetGrid(c.plan.opt, fopt, spec);
+        fleet::runFleetGrid(c.plan.opt, fopt, spec, c.cancel);
 
-    bool stopped = c.stop.load(std::memory_order_relaxed);
+    bool stopped = c.cancel.cancelled();
     {
         std::lock_guard<std::mutex> lock(mu_);
         // The cached-grid fast path returns without firing onCell:

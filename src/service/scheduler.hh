@@ -37,7 +37,6 @@
 #ifndef TEA_SERVICE_SCHEDULER_HH
 #define TEA_SERVICE_SCHEDULER_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -54,6 +53,7 @@
 #include "fleet/coordinator.hh"
 #include "fleet/workunit.hh"
 #include "service/protocol.hh"
+#include "util/watchdog.hh"
 
 namespace tea::service {
 
@@ -169,8 +169,9 @@ class Scheduler
 
     /**
      * Cancel: a queued campaign is removed immediately; a running one
-     * gets its stop flag raised and winds down at the next cell
-     * boundary (journals intact). False for an unknown id.
+     * has its cancel token cancelled, so its running injection runs
+     * stop at their next watchdog poll and it ends Cancelled with every
+     * completed run journaled for a resume. False for an unknown id.
      */
     bool cancel(uint64_t id);
 
@@ -185,7 +186,10 @@ class Scheduler
      * maintenance valve for operators.
      */
     void setPaused(bool paused);
-    /** Cancel everything and join the executors. */
+    /**
+     * Cancel everything (running campaigns end Cancelled, as by
+     * cancel()) and join the executors.
+     */
     void stop();
 
   private:
@@ -199,7 +203,8 @@ class Scheduler
         /** Shared-cache artifact coordinates (see file header). */
         std::string clashKey;
         CampaignState state = CampaignState::Queued;
-        std::atomic<bool> stop{false};
+        /** The campaign's one stop signal (cancel() and stop()). */
+        CancelToken cancel;
         std::vector<core::CampaignCell> cells;
         uint64_t cellsTotal = 0;
         bool interrupted = false;

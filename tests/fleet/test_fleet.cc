@@ -12,6 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cerrno>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -19,6 +23,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/journal.hh"
@@ -658,6 +663,53 @@ TEST(FleetGrid, ChaosSigkillRecoversByteIdentical)
                   normalizeManifest(art.manifests[i], true))
             << "manifest " << i;
     }
+    fs::remove_all(dir);
+}
+
+TEST(FleetGrid, CancelReapsWorkersAndResumesByteIdentical)
+{
+    std::string dir = "/tmp/tea_fleet_test_cancel";
+    fs::remove_all(dir);
+    ToolflowOptions opt = tinyOptions(dir);
+    opt.runsPerCell = 200; // units outlast the cancellation
+    GridSpec spec = tinySpec();
+
+    Toolflow tf(opt);
+    EvaluationGrid ref = runEvaluationGrid(tf, spec);
+    Artifacts refArt = captureAndClear(opt, spec);
+
+    // Cancel the campaign's token once the workers finished a unit.
+    const std::string spool = dir + "/spool";
+    CancelToken token;
+    EvaluationGrid cut;
+    std::thread campaign([&] {
+        cut = runFleetGrid(opt, tinyFleet(2, spool), spec, token);
+    });
+    WorkQueue q(spool);
+    for (int i = 0; i < 12000 && !q.isDone(0) && !q.isDone(1); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    token.cancel();
+    campaign.join();
+    EXPECT_TRUE(cut.interrupted);
+    EXPECT_LT(cut.cells.size(), ref.cells.size());
+    // Every worker was reaped: this process has no child left.
+    errno = 0;
+    EXPECT_EQ(waitpid(-1, nullptr, WNOHANG), -1);
+    EXPECT_EQ(errno, ECHILD);
+
+    // The resumed campaign keeps the finished units and the journaled
+    // runs of the cut ones, and lands on the reference bytes.
+    EvaluationGrid grid = runFleetGrid(opt, tinyFleet(2, spool), spec);
+    EXPECT_FALSE(grid.interrupted);
+    expectSameResults(ref, grid);
+    Artifacts art = captureAndClear(opt, spec);
+    EXPECT_EQ(refArt.csv, art.csv)
+        << "resumed grid CSV must be byte-identical";
+    ASSERT_EQ(refArt.manifests.size(), art.manifests.size());
+    for (size_t i = 0; i < art.manifests.size(); ++i)
+        EXPECT_EQ(normalizeManifest(refArt.manifests[i], true),
+                  normalizeManifest(art.manifests[i], true))
+            << "manifest " << i;
     fs::remove_all(dir);
 }
 

@@ -14,14 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/results.hh"
 #include "core/toolflow.hh"
 #include "fleet/workunit.hh"
+#include "obs/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "service/client.hh"
@@ -101,6 +105,36 @@ expectSameCells(const std::vector<CampaignCell> &ref,
         EXPECT_EQ(r.committedInstructions, g.committedInstructions)
             << "cell " << i;
     }
+}
+
+/** Runs a cell journal holds: one line each after the header. */
+size_t
+journalRecords(const std::string &path)
+{
+    std::string text = readFileToString(path).value_or("");
+    size_t lines = std::count(text.begin(), text.end(), '\n');
+    return lines > 0 ? lines - 1 : 0;
+}
+
+/** The first cell's journal, where tests watch a campaign's progress. */
+std::string
+firstCellJournal(const ToolflowOptions &opt, const GridSpec &spec)
+{
+    const CellPlan first = planEvaluationGrid(opt, spec).front();
+    return cellJournalPath(opt, first.workload, first.model,
+                           first.vrFrac);
+}
+
+/** Poll until the journal holds a record (false after ~60 s). */
+bool
+awaitJournaledRun(const std::string &path)
+{
+    for (int i = 0; i < 12000; ++i) {
+        if (journalRecords(path) > 0)
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return false;
 }
 
 DaemonOptions
@@ -543,6 +577,47 @@ TEST(ServiceScheduler, QueuedCancelAndDrain)
     fs::remove_all(dir);
 }
 
+TEST(ServiceScheduler, StopEndsARunningCampaignCancelled)
+{
+    // tea-daemon turns SIGTERM into stop(): the signal handler cancels
+    // the process-wide token first, and stop() follows. A campaign
+    // polls only its own token, so the signal alone does not cut it
+    // off (which would end it Failed, interrupted without a stop);
+    // stop() then ends it Cancelled, mid-cell.
+    struct ResetProcessWide
+    {
+        ~ResetProcessWide() { CancelToken::processWide().reset(); }
+    } reset;
+    std::string dir = "/tmp/tea_svc_test_stop";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ToolflowOptions opt = tinyOptions(dir);
+    opt.runsPerCell = 20000; // about 1 ms a run: a cell of ~20 s
+    GridSpec spec = tinySpec();
+    const std::string jnl = firstCellJournal(opt, spec);
+
+    Scheduler sched(schedulerOptions(dir));
+    auto s = sched.submit(fleet::FleetPlan{opt, spec}.serialize(), "c");
+    ASSERT_TRUE(s.accepted);
+    ASSERT_TRUE(awaitJournaledRun(jnl));
+
+    CancelToken::processWide().cancel(); // what SIGTERM does
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    auto mid = sched.status(s.sub.id);
+    ASSERT_TRUE(mid.has_value());
+    EXPECT_EQ(mid->state, CampaignState::Running)
+        << "a daemon campaign must not stop on the process-wide token";
+
+    sched.stop();
+    auto p = sched.status(s.sub.id);
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->state, CampaignState::Cancelled);
+    EXPECT_TRUE(p->interrupted);
+    EXPECT_EQ(p->cellsDone, 0u);
+    EXPECT_LT(journalRecords(jnl), static_cast<size_t>(opt.runsPerCell));
+    fs::remove_all(dir);
+}
+
 // ---------------------------------------------------------------------
 // End-to-end over the socket: daemon == in-process, byte for byte
 // ---------------------------------------------------------------------
@@ -713,6 +788,90 @@ TEST(ServiceDaemon, ImportanceSampledCampaignMatchesInProcess)
     daemon.stop();
     fs::remove_all(dir);
     fs::remove(opt.socketPath);
+}
+
+TEST(ServiceDaemon, CancelStopsTheRunningCellAndResumes)
+{
+    // CANCEL cuts the running injection run at its next watchdog poll
+    // instead of waiting for the cell to finish; the runs completed
+    // before it stay journaled, and resubmitting the plan resumes
+    // them into the reference grid, byte for byte.
+    std::string dir = "/tmp/tea_svc_test_midcell";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ToolflowOptions opt = tinyOptions(dir);
+    opt.runsPerCell = 1000; // about 1 ms a run
+    opt.resume = true; // the resubmission replays the journal
+    GridSpec spec = tinySpec();
+    const std::string jnl = firstCellJournal(opt, spec);
+
+    Toolflow tf(opt);
+    EvaluationGrid ref = runEvaluationGrid(tf, spec);
+    ASSERT_EQ(ref.cells.size(), 3u);
+    std::string csvPath = gridCachePath(opt, spec);
+    std::string refCsv = readFileToString(csvPath).value_or("");
+    ASSERT_FALSE(refCsv.empty());
+    fs::remove(csvPath);
+
+    DaemonOptions dopt = schedulerOptions(dir);
+    dopt.socketPath = "/tmp/tea_svc_midcell.sock";
+    ServiceDaemon daemon(dopt);
+    ASSERT_TRUE(daemon.start());
+    const std::string planBytes = fleet::FleetPlan{opt, spec}.serialize();
+
+    size_t journaled = 0;
+    {
+        auto client = Client::connectUnix(dopt.socketPath, "cancel");
+        ASSERT_TRUE(client.has_value());
+        Client::Submitted sub;
+        ASSERT_TRUE(client->submit(planBytes, sub));
+        ASSERT_TRUE(awaitJournaledRun(jnl));
+        Client::Status ack;
+        ASSERT_TRUE(client->cancel(sub.id, ack));
+        Client::Status final;
+        size_t streamed = 0;
+        ASSERT_TRUE(client->watch(
+            sub.id, [&streamed](const CampaignCell &) { ++streamed; },
+            final));
+        EXPECT_EQ(final.state, "cancelled");
+        EXPECT_TRUE(final.interrupted);
+        EXPECT_EQ(final.cellsDone, 0u);
+        EXPECT_EQ(streamed, 0u);
+        journaled = journalRecords(jnl);
+        EXPECT_GT(journaled, 0u);
+        EXPECT_LT(journaled, static_cast<size_t>(opt.runsPerCell))
+            << "CANCEL must stop the running cell, not finish it";
+    }
+
+    std::vector<CampaignCell> streamed;
+    Client::Status final;
+    {
+        auto client = Client::connectUnix(dopt.socketPath, "resume");
+        ASSERT_TRUE(client.has_value());
+        Client::Submitted sub;
+        ASSERT_TRUE(client->submit(planBytes, sub));
+        EXPECT_FALSE(sub.deduped);
+        ASSERT_TRUE(client->watch(
+            sub.id,
+            [&streamed](const CampaignCell &cell) {
+                streamed.push_back(cell);
+            },
+            final));
+    }
+    EXPECT_EQ(final.state, "done");
+    expectSameCells(ref.cells, streamed);
+    EXPECT_EQ(refCsv, readFileToString(csvPath).value_or(""))
+        << "a resumed grid CSV must be byte-identical";
+    const CellPlan first = planEvaluationGrid(opt, spec).front();
+    auto m = obs::readRunManifest(
+        cellManifestPath(opt, first.workload, first.model, first.vrFrac));
+    ASSERT_TRUE(m.has_value());
+    EXPECT_EQ(m->replayedRuns, journaled)
+        << "the resubmission must replay the cancelled runs";
+
+    daemon.stop();
+    fs::remove_all(dir);
+    fs::remove(dopt.socketPath);
 }
 
 TEST(ServiceDaemon, ProtocolErrorsOverTheWire)
