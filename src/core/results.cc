@@ -13,6 +13,7 @@
 #include "obs/trace.hh"
 #include "surrogate/importance.hh"
 #include "util/crc32.hh"
+#include "util/errors.hh"
 #include "util/fields.hh"
 #include "util/fsatomic.hh"
 #include "util/logging.hh"
@@ -452,6 +453,10 @@ runGridCell(Toolflow &tf, const CellPlan &plan,
                 &onFreshRecord)
 {
     const auto &opt = tf.options();
+    CampaignCell cell{plan.workload, plan.model, plan.vrFrac, {}};
+    cell.result.interrupted = tf.cancelToken().cancelled();
+    if (cell.result.interrupted)
+        return cell; // a cancelled toolflow starts no cell
     auto &campaign = tf.campaign(plan.workload);
     auto model = cellModel(tf, plan);
 
@@ -492,10 +497,6 @@ runGridCell(Toolflow &tf, const CellPlan &plan,
         ro.onComplete = onFreshRecord;
     }
 
-    CampaignCell cell;
-    cell.workload = plan.workload;
-    cell.model = plan.model;
-    cell.vrFrac = plan.vrFrac;
     {
         obs::Span cellSpan(plan.workload + "/" +
                                models::modelKindName(plan.model),
@@ -560,7 +561,7 @@ runEvaluationGrid(Toolflow &tf, bool useCache)
 EvaluationGrid
 runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
 {
-    return runGrid(tf.options(), spec, tf.cancelToken(),
+    return runGrid(tf.options(), spec,
                    [&tf](const CellPlan &plan, const std::string &csv) {
                        return SourcedCell{runGridCell(tf, plan, csv)};
                    });
@@ -568,7 +569,7 @@ runEvaluationGrid(Toolflow &tf, const GridSpec &spec)
 
 EvaluationGrid
 runGrid(const ToolflowOptions &opt, const GridSpec &spec,
-        const CancelToken &cancel, const CellSource &source)
+        const CellSource &source)
 {
     const std::string cachePath =
         spec.useCache ? gridCachePath(opt, spec) : "";
@@ -581,11 +582,14 @@ runGrid(const ToolflowOptions &opt, const GridSpec &spec,
     EvaluationGrid grid;
     std::vector<std::string> journalPaths;
     for (const CellPlan &plan : planEvaluationGrid(opt, spec)) {
-        if (cancel.cancelled()) {
-            grid.interrupted = true;
-            break;
+        SourcedCell got;
+        try {
+            got = source(plan, cachePath);
+        } catch (const TeaException &e) {
+            if (e.error().code != ErrorCode::Cancelled)
+                throw;
+            got.cell.result.interrupted = true; // characterization cut
         }
-        SourcedCell got = source(plan, cachePath);
         const inject::CampaignResult &r = got.cell.result;
         if (r.interrupted) {
             // Partial cell: its completed runs are safely in the

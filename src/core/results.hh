@@ -140,7 +140,8 @@ std::unique_ptr<models::ErrorModel> cellModel(Toolflow &tf,
  * provenance. The journal file is left on disk — callers remove it
  * once the cell's result is durable elsewhere (the saved grid CSV, or
  * a fleet done-file). The single execution path shared by
- * runEvaluationGrid and the fleet worker.
+ * runEvaluationGrid and the fleet worker. Once the toolflow's token
+ * is cancelled the cell comes back interrupted, unstarted or cut.
  *
  * `onFreshRecord`, when set, is invoked (from worker threads) for each
  * freshly-executed run after it is journaled — fleet workers use it to
@@ -170,18 +171,16 @@ using CellSource = std::function<SourcedCell(
 /**
  * The one grid loop: load `spec`'s grid CSV, or take every planned
  * cell from `source` in canonical order, then save the CSV and remove
- * the cells' journals. Before each cell it polls `cancel`; a
- * cancellation or an interrupted cell returns the completed prefix
- * with `interrupted` set and every journal kept for a resume.
+ * the cells' journals. The first interrupted cell, or a cancelled
+ * characterization thrown by `source`, ends it: the completed prefix
+ * comes back with `interrupted` set and every journal kept.
  */
 EvaluationGrid runGrid(const ToolflowOptions &opt, const GridSpec &spec,
-                       const CancelToken &cancel,
                        const CellSource &source);
 
 /**
  * Run (or load from cache) the evaluation grid for `spec` in this
- * process, every cell through runGridCell under the toolflow's cancel
- * token; the default spec is the paper's full grid.
+ * process through runGridCell; the default spec is the paper's grid.
  */
 EvaluationGrid runEvaluationGrid(Toolflow &tf, const GridSpec &spec);
 EvaluationGrid runEvaluationGrid(Toolflow &tf, bool useCache = true);

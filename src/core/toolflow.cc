@@ -15,6 +15,7 @@
 #include "obs/trace.hh"
 #include "sim/func_sim.hh"
 #include "util/crc32.hh"
+#include "util/errors.hh"
 #include "util/logging.hh"
 
 namespace tea::core {
@@ -22,14 +23,13 @@ namespace tea::core {
 using timing::CampaignStats;
 
 Toolflow::Toolflow(ToolflowOptions opt, const CancelToken &cancel)
-    : opt_(std::move(opt)), cancel_(&cancel), cancelWatchdog_(&cancel),
+    : opt_(std::move(opt)), watchdog_(&cancel),
       pool_(std::make_unique<ThreadPool>(opt_.threads)),
       core_(std::make_unique<fpu::FpuCore>())
 {
-    // First SIGINT/SIGTERM flips the process-wide cancel token (the
-    // default one); the campaigns poll their token cooperatively,
-    // flush their journals, and the drivers print partial results
-    // instead of dying mid-write.
+    // First SIGINT/SIGTERM flips the process-wide (default) token; the
+    // campaigns poll theirs cooperatively, flush their journals, and
+    // the drivers print partial results instead of dying mid-write.
     installShutdownHandlers();
     // Arm REPRO_TRACE / REPRO_METRICS (idempotent; bench mains may
     // already have armed them from --trace/--metrics flags).
@@ -50,7 +50,7 @@ Toolflow::runOptions() const
 {
     inject::InjectionCampaign::RunOptions ro;
     ro.pool = pool_.get();
-    ro.cancel = cancel_;
+    ro.cancel = watchdog_.token();
     ro.runDeadlineMs = opt_.runDeadlineMs;
     ro.maxAttempts = opt_.maxRunAttempts;
     ro.ciTarget = opt_.ciTarget;
@@ -250,11 +250,15 @@ Toolflow::characterize(
     obs::Span span("toolflow.characterize", "toolflow");
     stats = run(point);
     if (stats.interrupted) {
-        // Partial statistics must never feed models or caches.
+        // Partial statistics never feed models or caches; a waiter
+        // on this computation takes it over.
+        releaseLead();
         inform("characterization '%s' interrupted; partial statistics "
-               "discarded — rerun to characterize fully",
+               "discarded",
                key.c_str());
-        std::exit(130);
+        throw TeaException(makeError(ErrorCode::Cancelled,
+                                     "characterization '%s' interrupted",
+                                     key.c_str()));
     }
     if (stats.engineFaults > 0) {
         warn("characterization '%s' degraded (%llu shard(s) dropped "
@@ -318,7 +322,7 @@ Toolflow::iaStats(double vrFrac)
                    pool_->numThreads());
             return timing::runAdaptiveRandomCampaign(
                 *core_, point, plannerConfig(opt_, cap), rng,
-                pool_.get(), &cancelWatchdog_);
+                pool_.get(), &watchdog_);
         });
     }
     std::string tag = cacheTag("ia", "rnd", opt_.iaCountPerOp);
@@ -332,7 +336,7 @@ Toolflow::iaStats(double vrFrac)
         return timing::runRandomCampaign(*core_, point,
                                          opt_.iaCountPerOp, rng,
                                          pool_.get(),
-                                         &cancelWatchdog_);
+                                         &watchdog_);
     });
 }
 
@@ -356,7 +360,7 @@ Toolflow::waStats(const std::string &workload, double vrFrac)
             return timing::runAdaptiveTraceCampaign(
                 *core_, point, trace(workload), maxOps,
                 plannerConfig(opt_, cap), pool_.get(),
-                &cancelWatchdog_);
+                &watchdog_);
         });
     }
     std::string tag = cacheTag("wa", workload, opt_.waMaxOps);
@@ -365,7 +369,7 @@ Toolflow::waStats(const std::string &workload, double vrFrac)
                workload.c_str(), vrFrac * 100, pool_->numThreads());
         return timing::runTraceCampaign(*core_, point, trace(workload),
                                         opt_.waMaxOps, pool_.get(),
-                                        &cancelWatchdog_);
+                                        &watchdog_);
     });
 }
 
@@ -396,11 +400,11 @@ Toolflow::daErrorRatio(double vrFrac)
                         ? timing::runAdaptiveTraceCampaign(
                               *core_, point, trace(name), per,
                               plannerConfig(opt_, per), pool_.get(),
-                              &cancelWatchdog_)
+                              &watchdog_)
                         : timing::runTraceCampaign(*core_, point,
                                                    trace(name), per,
                                                    pool_.get(),
-                                                   &cancelWatchdog_);
+                                                   &watchdog_);
                 // Degradation and interruption are properties of the
                 // merged calibration too.
                 merged.merge(s);

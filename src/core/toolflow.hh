@@ -146,10 +146,9 @@ class Toolflow
 {
   public:
     /**
-     * `cancel` is the campaign's one stop signal: every DTA campaign
-     * and injection run this toolflow starts polls it. The default is
-     * the token SIGINT/SIGTERM cancel; a caller that runs several
-     * campaigns in one process (the daemon) hands each its own.
+     * `cancel` stops every DTA campaign and injection run this toolflow
+     * starts. The default is the token SIGINT/SIGTERM cancel; the
+     * daemon hands each campaign its own.
      */
     explicit Toolflow(ToolflowOptions opt,
                       const CancelToken &cancel = CancelToken::processWide());
@@ -160,12 +159,8 @@ class Toolflow
     const circuit::VoltageModel &voltageModel() const { return vm_; }
     /** Worker pool shared by every campaign this toolflow runs. */
     ThreadPool &pool() { return *pool_; }
-    const CancelToken &cancelToken() const { return *cancel_; }
-    /**
-     * Injection-run options of this toolflow's campaigns: its pool,
-     * cancel token, run deadline, attempts and adaptive stopping
-     * (which runRange ignores: range units always run whole).
-     */
+    const CancelToken &cancelToken() const { return *watchdog_.token(); }
+    /** Injection-run options: pool, token, deadline, attempts, CI. */
     inject::InjectionCampaign::RunOptions runOptions() const;
 
     /**
@@ -192,6 +187,8 @@ class Toolflow
     static bool quarantineCache(const std::string &path);
 
     // ---- model development phase -----------------------------------
+    // A characterization cut short by this toolflow's cancel token
+    // throws TeaException(Cancelled) and leaves no statistics behind.
     const timing::CampaignStats &iaStats(double vrFrac);
     const timing::CampaignStats &waStats(const std::string &workload,
                                          double vrFrac);
@@ -225,9 +222,8 @@ class Toolflow
 
     ToolflowOptions opt_;
     circuit::VoltageModel vm_;
-    const CancelToken *cancel_;
-    /** Cancellation-only watchdog passed into every DTA campaign. */
-    Watchdog cancelWatchdog_;
+    /** Cancellation-only watchdog on the campaign's token. */
+    Watchdog watchdog_;
     std::unique_ptr<ThreadPool> pool_;
     std::unique_ptr<fpu::FpuCore> core_;
     std::map<int, size_t> points_; ///< key: VR percent x 100

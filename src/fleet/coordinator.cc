@@ -80,10 +80,7 @@ planUnits(const ToolflowOptions &opt,
 core::CampaignCell
 poisonedCell(const CellPlan &plan)
 {
-    core::CampaignCell cell;
-    cell.workload = plan.workload;
-    cell.model = plan.model;
-    cell.vrFrac = plan.vrFrac;
+    core::CampaignCell cell{plan.workload, plan.model, plan.vrFrac, {}};
     cell.result.workload = plan.workload;
     cell.result.model = models::modelKindName(plan.model);
     cell.result.runs = static_cast<uint64_t>(plan.runCap);
@@ -354,7 +351,7 @@ Supervisor::supervise()
  * run-index order — the exact byte order a single-threaded cell run
  * appends in — and leave it ready for replay.
  */
-bool
+void
 mergeShardJournals(core::Toolflow &tf, const CellPlan &plan,
                    WorkQueue &q, const std::vector<WorkUnit> &units)
 {
@@ -376,7 +373,6 @@ mergeShardJournals(core::Toolflow &tf, const CellPlan &plan,
     canonical.open(identity, /*resume=*/false);
     for (const auto &[idx, rec] : merged)
         canonical.append(idx, rec);
-    return true;
 }
 
 } // namespace
@@ -422,7 +418,7 @@ runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
     };
     if (!farm)
         return core::runGrid(
-            opt, spec, cancel,
+            opt, spec,
             [&](const CellPlan &cp, const std::string &csv) {
                 return core::SourcedCell{core::runGridCell(tf(), cp, csv)};
             });
@@ -470,7 +466,7 @@ runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
 
     std::vector<std::string> shardPaths;
     EvaluationGrid grid = core::runGrid(
-        opt, spec, cancel,
+        opt, spec,
         [&](const CellPlan &cp,
             const std::string &csv) -> core::SourcedCell {
             farmOut();
@@ -496,10 +492,8 @@ runFleetGrid(const ToolflowOptions &opt, const FleetOptions &fopt,
             } else if (cellDone && allDone) {
                 // A worker ran the whole cell (journal + manifest
                 // already on disk); only the counters travel back.
-                got.cell.workload = cp.workload;
-                got.cell.model = cp.model;
-                got.cell.vrFrac = cp.vrFrac;
-                got.cell.result = cellDone->result;
+                got.cell = {cp.workload, cp.model, cp.vrFrac,
+                            cellDone->result};
                 got.cell.result.workload = cp.workload;
                 got.cell.result.model = models::modelKindName(cp.model);
             } else if (!allDone && cancel.cancelled()) {

@@ -89,10 +89,8 @@ FleetOptions fleetOptionsFromEnv();
  * Run (or load from cache) the evaluation grid for `spec` across a
  * worker fleet. Byte-identical to runEvaluationGrid(tf, spec) for any
  * worker count, including under worker crashes; falls back to
- * in-process execution when `fopt` disables the fleet. Cancelling
- * `cancel` stops the supervision (every worker is reaped) and the
- * in-process cells at their next run, and returns an interrupted grid
- * whose completed work stays journaled for a resume.
+ * in-process execution when `fopt` disables the fleet. `cancel`
+ * reaps every worker and ends the grid interrupted, resumable.
  */
 core::EvaluationGrid
 runFleetGrid(const core::ToolflowOptions &opt, const FleetOptions &fopt,

@@ -169,9 +169,8 @@ class Scheduler
 
     /**
      * Cancel: a queued campaign is removed immediately; a running one
-     * has its cancel token cancelled, so its running injection runs
-     * stop at their next watchdog poll and it ends Cancelled with every
-     * completed run journaled for a resume. False for an unknown id.
+     * has its token cancelled: its runs stop at their next watchdog
+     * poll, completed ones stay journaled. False for an unknown id.
      */
     bool cancel(uint64_t id);
 
@@ -186,10 +185,7 @@ class Scheduler
      * maintenance valve for operators.
      */
     void setPaused(bool paused);
-    /**
-     * Cancel everything (running campaigns end Cancelled, as by
-     * cancel()) and join the executors.
-     */
+    /** Cancel everything, as cancel() does, and join the executors. */
     void stop();
 
   private:

@@ -1,7 +1,11 @@
 #include "util/watchdog.hh"
 
 #include <csignal>
+#include <cstdlib>
+#include <exception>
 #include <mutex>
+
+#include "util/errors.hh"
 
 namespace tea {
 
@@ -23,6 +27,28 @@ shutdownHandler(int)
     CancelToken::processWide().cancel();
 }
 
+std::terminate_handler previousTerminate = std::abort;
+
+/**
+ * A characterization cut short by a cancelled token throws
+ * TeaException(Cancelled); where nothing catches it (a bench main, a
+ * fleet worker) the process ends interrupted, exit 130.
+ */
+[[noreturn]] void
+terminateOnCancel()
+{
+    try {
+        if (std::exception_ptr e = std::current_exception())
+            std::rethrow_exception(e);
+    } catch (const TeaException &e) {
+        if (e.error().code == ErrorCode::Cancelled)
+            std::exit(130);
+    } catch (...) {
+    }
+    previousTerminate();
+    std::abort();
+}
+
 } // namespace
 
 void
@@ -32,6 +58,8 @@ installShutdownHandlers()
     std::call_once(once, [] {
         std::signal(SIGINT, shutdownHandler);
         std::signal(SIGTERM, shutdownHandler);
+        if (auto prev = std::set_terminate(terminateOnCancel))
+            previousTerminate = prev;
     });
 }
 

@@ -53,7 +53,8 @@ class CancelToken
 /**
  * Install SIGINT/SIGTERM handlers that cancel processWide().
  * Idempotent; the handler only sets the atomic flag (async-signal-safe)
- * and the campaign layers do the orderly unwind.
+ * and the campaign layers do the orderly unwind. An uncaught
+ * TeaException(Cancelled) then exits 130 rather than aborting.
  */
 void installShutdownHandlers();
 
@@ -90,6 +91,8 @@ class Watchdog
             return Stop::Deadline;
         return Stop::None;
     }
+
+    const CancelToken *token() const { return token_; }
 
   private:
     const CancelToken *token_ = nullptr;

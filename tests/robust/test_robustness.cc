@@ -412,6 +412,78 @@ TEST(CacheIntegrity, ToolflowQuarantinesAndRegenerates)
     std::filesystem::remove_all(dir);
 }
 
+// ---------------------------------------------------------------------
+// Cancelled characterization
+// ---------------------------------------------------------------------
+
+TEST(CancelledCharacterization, UnwindsWithoutCachingAndReleasesItsLead)
+{
+    // A characterization cut short by the toolflow's token throws
+    // Cancelled, saves nothing and gives up its single-flight lead: a
+    // toolflow on a live token then computes the same statistics (it
+    // would wait forever on a leaked lead). The grid loop turns the
+    // throw into an interrupted grid instead of ending the process.
+    Quiet q;
+    std::string dir = "/tmp/tea_test_robust_cancel_char";
+    std::filesystem::remove_all(dir);
+    ToolflowOptions opt;
+    opt.iaCountPerOp = 50;
+    opt.cacheDir = dir;
+    opt.vrLevels = {0.20};
+    GridSpec spec;
+    spec.workloads = {"sobel"};
+    const CellPlan ia = planEvaluationGrid(opt, spec).at(1);
+    ASSERT_EQ(ia.model, models::ModelKind::IA);
+    {
+        CancelToken token;
+        token.cancel();
+        Toolflow tf(opt, token);
+        try {
+            tf.iaStats(0.20);
+            ADD_FAILURE() << "a cancelled characterization must throw";
+        } catch (const TeaException &e) {
+            EXPECT_EQ(e.error().code, ErrorCode::Cancelled);
+        }
+        CampaignCell cell = runGridCell(tf, ia, "");
+        EXPECT_TRUE(cell.result.interrupted);
+        EXPECT_EQ(cell.result.runs, 0u);
+    }
+    spec.useCache = false;
+    EvaluationGrid grid = runGrid(
+        opt, spec, [](const CellPlan &, const std::string &) -> SourcedCell {
+            throw TeaException(makeError(ErrorCode::Cancelled, "cut"));
+        });
+    EXPECT_TRUE(grid.interrupted);
+    EXPECT_TRUE(grid.cells.empty());
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(dir, ec))
+        EXPECT_NE(e.path().extension(), ".stats")
+            << "partial statistics must not be cached: " << e.path();
+    Toolflow live(opt);
+    EXPECT_EQ(live.iaStats(0.20).totalOps(), 50u * fpu::kNumFpuOps);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(CancelledCharacterization, UncaughtEndsTheProcessInterrupted)
+{
+    // A bench main that reads statistics straight from its toolflow
+    // lets the Cancelled exception escape main; the process then ends
+    // the way an interrupted grid does, exit 130, not by aborting.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ToolflowOptions opt;
+    opt.iaCountPerOp = 50;
+    opt.cacheDir = "";
+    opt.vrLevels = {0.20};
+    EXPECT_EXIT(
+        {
+            CancelToken token;
+            token.cancel();
+            Toolflow tf(opt, token);
+            [&tf]() noexcept { tf.iaStats(0.20); }();
+        },
+        ::testing::ExitedWithCode(130), "");
+}
+
 TEST(CacheIntegrity, QuarantineClaimsNumberedSlotsThenDegrades)
 {
     Quiet q;

@@ -874,6 +874,68 @@ TEST(ServiceDaemon, CancelStopsTheRunningCellAndResumes)
     fs::remove(dopt.socketPath);
 }
 
+TEST(ServiceDaemon, CancelDuringCharacterizationKeepsServing)
+{
+    // On a cold cache a campaign first characterizes its error model.
+    // A CANCEL that lands there unwinds the characterization (nothing
+    // is cached) and ends only that campaign: the daemon, which runs
+    // campaigns in its own process, goes on serving the next one.
+    std::string dir = "/tmp/tea_svc_test_coldcancel";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    ToolflowOptions slow = tinyOptions(dir);
+    // The largest DA calibration a plan accepts: seconds of DTA work
+    // over every workload's trace before the first cell's first run.
+    slow.daSampleOps = 10000000;
+    GridSpec spec = tinySpec();
+    const std::string jnl = firstCellJournal(slow, spec);
+
+    DaemonOptions dopt = schedulerOptions(dir);
+    dopt.socketPath = "/tmp/tea_svc_coldcancel.sock";
+    ServiceDaemon daemon(dopt);
+    ASSERT_TRUE(daemon.start());
+    auto client = Client::connectUnix(dopt.socketPath, "cold");
+    ASSERT_TRUE(client.has_value());
+
+    Client::Submitted sub;
+    ASSERT_TRUE(client->submit(fleet::FleetPlan{slow, spec}.serialize(),
+                               sub));
+    Client::Status st;
+    for (int i = 0; i < 12000; ++i) {
+        ASSERT_TRUE(client->status(sub.id, st));
+        if (st.state != "queued")
+            break;
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(st.state, "running");
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client->cancel(sub.id, st));
+    Client::Status final;
+    ASSERT_TRUE(client->watch(sub.id, [](const CampaignCell &) {}, final));
+    double cancelS = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_EQ(final.state, "cancelled");
+    EXPECT_TRUE(final.interrupted);
+    EXPECT_EQ(final.cellsDone, 0u);
+    EXPECT_LT(cancelS, 10.0) << "the characterization must be cut short";
+    EXPECT_FALSE(fs::exists(jnl)) << "no injection run may have started";
+    for (const auto &e : fs::directory_iterator(dir))
+        EXPECT_NE(e.path().extension(), ".stats")
+            << "partial statistics must not be cached: " << e.path();
+
+    Client::Submitted next;
+    ASSERT_TRUE(client->submit(tinyPlan(dir).serialize(), next));
+    ASSERT_TRUE(client->watch(next.id, [](const CampaignCell &) {}, final));
+    EXPECT_EQ(final.state, "done");
+    EXPECT_EQ(final.cellsDone, 3u);
+
+    daemon.stop();
+    fs::remove_all(dir);
+    fs::remove(dopt.socketPath);
+}
+
 TEST(ServiceDaemon, ProtocolErrorsOverTheWire)
 {
     std::string dir = "/tmp/tea_svc_test_wire";
